@@ -10,6 +10,8 @@ and without the grammar) are built on top.
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -54,16 +56,57 @@ class _Node:
         self.total += 1
 
 
+def _match(root: _Node, context: Sequence) -> _Node:
+    """Longest retained suffix of the context; the root always matches."""
+    node = root
+    n = len(context)
+    for j in range(n - 1, -1, -1):
+        nxt = node.children.get(context[j])
+        if nxt is None:
+            break
+        node = nxt
+    return node
+
+
+def _smoothed_log_prob(node: _Node, symbol, smoothing: float, size: int) -> float:
+    """ln P(symbol) under add-lambda smoothing at one trie node.
+
+    The single place the smoothed arithmetic lives: ``log_prob`` and the
+    transition table both call it, so their scores agree bitwise.
+    """
+    denom = node.total + smoothing * size
+    if denom == 0:
+        raise TonosegError("no counts at matched context and smoothing is zero")
+    num = node.counts.get(symbol, 0) + smoothing
+    if num == 0:
+        return -math.inf
+    return math.log(num / denom)
+
+
 class PatternGrammar:
     """Trained context trie bound to a scheme and a training config.
 
-    Immutable once trained; queries are safe from any number of threads.
+    The counts are immutable once trained.  The decoders score through a
+    transition table (see ``transitions``) that the grammar owns and
+    fills lazily, one (state, symbol) entry on first use; it stays with
+    the grammar across calls.  ``log_prob``, ``conditional`` and the
+    entropy functions never touch it.
+
+    Queries are safe from any number of threads.  The table is created,
+    and each entry filled, under the grammar's lock; an entry is written
+    once, its log-probability before its next state, and never changes
+    afterwards.  A reader that sees a next state of -1 takes the lock and
+    fills (or finds filled) the entry, so every thread sees the same
+    states and the same bitwise scores.
     """
 
     def __init__(self, scheme: EncodingScheme, config: TrainConfig, root: _Node | None = None):
         self.scheme = scheme
         self.config = config
         self._root = root if root is not None else _Node()
+        self._symbols = frozenset(scheme.alphabet)
+        self._lock = threading.Lock()
+        self._transitions: _Transitions | None = None
 
     # -- structure ----------------------------------------------------
 
@@ -91,14 +134,6 @@ class PatternGrammar:
 
         yield from walk(self._root, ())
 
-    def context_retained(self, context: Sequence) -> bool:
-        node = self._root
-        for sym in reversed(tuple(context)):
-            node = node.children.get(sym)
-            if node is None:
-                return False
-        return True
-
     @classmethod
     def from_counts(
         cls,
@@ -112,6 +147,7 @@ class PatternGrammar:
         present (suffix closure); violations raise ``TonosegError``.
         """
         root = _Node()
+        allowed = set(scheme.alphabet)
         for context, counts in items:
             if len(context) > config.max_depth:
                 raise TonosegError(
@@ -119,7 +155,7 @@ class PatternGrammar:
                 )
             node = root
             for depth, sym in enumerate(reversed(tuple(context))):
-                if sym not in scheme:
+                if sym not in allowed:
                     raise AlphabetError(f"context symbol {sym!r} not in scheme alphabet")
                 child = node.children.get(sym)
                 if child is None:
@@ -133,7 +169,7 @@ class PatternGrammar:
             if node.counts:
                 raise TonosegError(f"duplicate context {context!r}")
             for sym, c in counts.items():
-                if sym not in scheme:
+                if sym not in allowed:
                     raise AlphabetError(f"successor {sym!r} not in scheme alphabet")
                 if c < 0:
                     raise TonosegError(f"negative count for {sym!r} in context {context!r}")
@@ -144,24 +180,13 @@ class PatternGrammar:
 
     # -- prediction ---------------------------------------------------
 
-    def _match(self, context: Sequence) -> _Node:
-        """Longest retained suffix of the context; the root always matches."""
-        node = self._root
-        n = len(context)
-        for j in range(n - 1, -1, -1):
-            nxt = node.children.get(context[j])
-            if nxt is None:
-                break
-            node = nxt
-        return node
-
     def conditional(self, context: Sequence) -> np.ndarray:
         """Smoothed successor distribution over the alphabet, in order.
 
         Only the last ``max_depth`` context symbols can matter.  With a
         positive smoothing constant the result is strictly positive.
         """
-        node = self._match(context)
+        node = _match(self._root, context)
         lam = self.config.smoothing
         denom = node.total + lam * self.scheme.size
         if denom == 0:
@@ -173,17 +198,21 @@ class PatternGrammar:
 
     def log_prob(self, symbol, context: Sequence) -> float:
         """ln P(symbol | context); -inf when unsmoothed and unseen."""
-        if symbol not in self.scheme:
+        if symbol not in self._symbols:
             raise AlphabetError(f"symbol {symbol!r} not in scheme alphabet")
-        node = self._match(context)
-        lam = self.config.smoothing
-        denom = node.total + lam * self.scheme.size
-        if denom == 0:
-            raise TonosegError("no counts at matched context and smoothing is zero")
-        num = node.counts.get(symbol, 0) + lam
-        if num == 0:
-            return -math.inf
-        return math.log(num / denom)
+        return _smoothed_log_prob(
+            _match(self._root, context), symbol, self.config.smoothing, self.scheme.size
+        )
+
+    def transitions(self) -> "_Transitions":
+        """The grammar's context automaton, created on first use."""
+        table = self._transitions
+        if table is None:
+            with self._lock:
+                if self._transitions is None:
+                    self._transitions = _Transitions(self)
+                table = self._transitions
+        return table
 
     def sequence_log_probability(self, symbols: Sequence) -> float:
         """Natural-log chain-rule probability of one symbol sequence.
@@ -199,6 +228,123 @@ class PatternGrammar:
                 return -math.inf
             total += lp
         return total
+
+
+class _Transitions:
+    """The grammar compiled into a context automaton, filled lazily.
+
+    This is the prediction-suffix-tree-to-automaton construction of Ron,
+    Singer & Tishby ("The Power of Amnesia", 1996).  The states are the
+    retained contexts closed under prefixes; the state of a history is
+    its longest suffix among them, state 0 being the empty context.  The
+    state of a history extended by one symbol is the longest such suffix
+    of (state + symbol), and the longest retained suffix of a history,
+    which ``log_prob`` scores at, is a suffix of its state.  So one row per
+    state gives every score.  The closure matters: with the context
+    ``H L`` retained but ``H`` pruned, the state after ``H`` must
+    remember the ``H``.
+
+    ``next[s * size + a]`` is the state after symbol index ``a`` from
+    state ``s`` (-1 until filled) and ``lp[s * size + a]`` its ln P.
+    The flat arrays hold no Python object per transition; states and
+    their rows are added as transitions first reach them.
+    """
+
+    def __init__(self, grammar: PatternGrammar):
+        # No reference back to the grammar: without a cycle, dropping the
+        # grammar frees its trie and table at once, not at the next
+        # collection of the garbage collector's oldest generation.
+        self.size = grammar.scheme.size
+        self.next = array("i")
+        self.lp = array("d")
+        self._alphabet = grammar.scheme.alphabet
+        self._smoothing = grammar.config.smoothing
+        self._root = grammar._root
+        self._lock = grammar._lock
+        self._contexts: list[tuple] = []
+        self._nodes: list[_Node] = []
+        self._ids: dict[tuple, int] = {}
+        self._unretained_prefixes = _unretained_prefixes(grammar._root)
+        self._blank_next = array("i", [-1]) * self.size
+        self._blank_lp = array("d", [0.0]) * self.size
+        self._add((), grammar._root)
+
+    def _add(self, context: tuple, node: _Node) -> int:
+        state = len(self._contexts)
+        self._contexts.append(context)
+        self._nodes.append(node)
+        self._ids[context] = state
+        self.next.extend(self._blank_next)
+        self.lp.extend(self._blank_lp)
+        return state
+
+    def _state(self, context: tuple) -> int | None:
+        """Id of a context in the prefix closure, or None when outside it."""
+        state = self._ids.get(context)
+        if state is not None:
+            return state
+        if context in self._unretained_prefixes:
+            return self._add(context, _match(self._root, context))
+        node = self._root
+        for sym in reversed(context):
+            node = node.children.get(sym)
+            if node is None:
+                return None
+        return self._add(context, node)
+
+    def fill(self, k: int) -> int:
+        """Compute entry ``k`` if no thread has yet; return its next state."""
+        with self._lock:
+            return self._fill(k)
+
+    def _fill(self, k: int) -> int:
+        target = self.next[k]
+        if target < 0:
+            state, a = divmod(k, self.size)
+            context = self._contexts[state]
+            symbol = self._alphabet[a]
+            target = self._state(context + (symbol,))
+            if target is None and context:
+                # The closure is also suffix-closed, so context[1:] is a
+                # state, and its successor is the longest suffix wanted.
+                target = self._fill(self._state(context[1:]) * self.size + a)
+            elif target is None:
+                target = 0
+            self.lp[k] = _smoothed_log_prob(self._nodes[state], symbol, self._smoothing, self.size)
+            self.next[k] = target
+        return target
+
+    def step(self, state: int, a: int) -> tuple[int, float]:
+        """(next state, ln P) for symbol index ``a`` read in ``state``."""
+        k = state * self.size + a
+        target = self.next[k]
+        if target < 0:
+            target = self.fill(k)
+        return target, self.lp[k]
+
+
+def _unretained_prefixes(root: _Node) -> set:
+    """Proper prefixes of retained contexts that are not retained.
+
+    Trained tries have none (a context's prefix occurs wherever the
+    context does, one position earlier); ``from_counts`` accepts tries
+    that do.  The node of ``c[:-1]`` is the child, on ``c``'s oldest
+    symbol, of the node of ``c[1:-1]``, so one walk finds every context
+    whose prefix is missing.
+    """
+    out: set = set()
+    # (node, its context, node of context[:-1] or None)
+    stack = [(child, (sym,), root) for sym, child in root.children.items()]
+    while stack:
+        node, context, prefix = stack.pop()
+        for sym, child in node.children.items():
+            child_prefix = prefix.children.get(sym) if prefix is not None else None
+            if child_prefix is None:
+                child_context = (sym,) + context
+                out.update(child_context[:j] for j in range(1, len(child_context)))
+            if child.children:
+                stack.append((child, (sym,) + context, child_prefix))
+    return out
 
 
 def train(

@@ -3,20 +3,34 @@
 Given a trained grammar, every way of wrapping the tone stream into
 words (and, under a prominence-marking scheme, every prominence
 assignment) yields one encoded symbol sequence; the decoder returns a
-placement maximizing the chain-rule score.  Because predictions depend
-on at most ``max_depth`` preceding symbols, dynamic programming over
-(position, recent-symbol window) states searches the full candidate
-space exactly; ``brute_force_segment`` enumerates it outright and is
-the oracle the decoder is tested against.
+placement maximizing the chain-rule score.  ``brute_force_segment``
+enumerates the candidates outright and is the oracle the decoder is
+tested against.  Both score through the grammar's transition table
+(``PatternGrammar.transitions``).
 
-Ties are broken deterministically: fewer words first, then the
-lexicographically smallest boundary vector, then the smallest
-prominence vector (all-plain preferred).
+``segment_turn`` is a Viterbi pass with backpointers.  After each tone
+it keeps one entry per merge state: the last ``max_depth`` symbols (the
+window, one integer in base ``size + 1``) and the current word's
+prominence.  Predictions depend on at most ``max_depth`` preceding
+symbols, so two partial candidates in the same merge state score every
+continuation alike and only the better one is kept.  Each entry points
+to its parent entry instead of copying its boundary and prominence
+prefixes.  The number of merge states depends on ``max_depth``, not on
+the turn length (at most 8 per tone on the default depth under
+``hierprom``), so the cost grows linearly with the turn length.
+
+Ties are broken deterministically: higher score first, then fewer
+words, then the lexicographically smallest boundary vector, then the
+smallest prominence vector (all-plain preferred).  Each entry carries
+its rank in that order among the entries of its step, and the rank of
+its boundary vector alone.  A candidate's vectors are its parent's plus
+one decision, so comparing (parent's boundary rank, cut) and then
+(parent's rank, prominence) orders candidates exactly as comparing the
+whole vectors would.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
@@ -103,35 +117,6 @@ def _prominence_options(scheme: EncodingScheme) -> tuple[bool, ...]:
     return (False, True) if scheme.prominence != "none" else (False,)
 
 
-def _cached_scorer(grammar: PatternGrammar):
-    """ln P(symbol | window) with per-call node and probability caches.
-
-    Uses the exact arithmetic of ``PatternGrammar.log_prob`` so scores
-    agree bitwise with ``sequence_log_probability``.
-    """
-    lam = grammar.config.smoothing
-    size = grammar.scheme.size
-    match = grammar._match
-    node_cache: dict = {}
-    lp_cache: dict = {}
-
-    def lp(symbol, window: tuple) -> float:
-        node = node_cache.get(window)
-        if node is None:
-            node = match(window)
-            node_cache[window] = node
-        key = (id(node), symbol)
-        out = lp_cache.get(key)
-        if out is None:
-            denom = node.total + lam * size
-            num = node.counts.get(symbol, 0) + lam
-            out = math.log(num / denom)
-            lp_cache[key] = out
-        return out
-
-    return lp
-
-
 def enumerate_candidates(n_tones: int, scheme: EncodingScheme) -> Iterable[tuple[tuple, tuple]]:
     """All (boundary vector, prominence vector) candidates for a stream.
 
@@ -171,17 +156,18 @@ def brute_force_segment(
     n = len(tones)
     if n > 14:
         raise SegmentationError(f"brute force limited to 14 tones, got {n}")
-    lp = _cached_scorer(grammar)
-    depth = grammar.config.max_depth
+    step = grammar.transitions().step
+    index = scheme.index
 
     best_key = None
     best = None
     for bounds, proms in enumerate_candidates(n, scheme):
         spans = _spans_from_vectors(bounds, proms)
-        symbols = spans_to_symbols(tones, spans, scheme)
         total = 0.0
-        for i, sym in enumerate(symbols):
-            total += lp(sym, tuple(symbols[max(0, i - depth) : i]))
+        state = 0
+        for sym in spans_to_symbols(tones, spans, scheme):
+            state, lp = step(state, index(sym))
+            total += lp
         key = (-total, len(spans), bounds, proms)
         if best_key is None or key < best_key:
             best_key = key
@@ -189,123 +175,115 @@ def brute_force_segment(
     return best
 
 
+def _rank_key(candidate):
+    # parent's boundary rank, cut, parent's rank, prominence
+    return candidate[2:6]
+
+
 def segment_turn(
     grammar: PatternGrammar,
     tones: Sequence[Tone],
     scheme: EncodingScheme,
-    beam_width: int | None = None,
 ) -> SegmentationResult:
     """Maximum-score boundary (and prominence) placement, by exact DP.
 
-    A state is (recent-symbol window, current word's prominence); two
-    partial candidates in the same state score all future symbols
-    identically, so only the best prefix per state is kept.  Prefix
-    scores accumulate symbol by symbol in emission order, which keeps
-    them bitwise equal to ``sequence_log_probability`` of the same
-    candidate.
-
-    ``beam_width`` caps the number of states kept per position; the
-    default (None) keeps them all, which is the exact search.  A beam
-    can only trade optimality for speed on very long turns.
+    See the module docstring for the merge state, the ranks and the
+    backpointers.  Prefix scores accumulate symbol by symbol in emission
+    order, which keeps them bitwise equal to ``sequence_log_probability``
+    of the same candidate.
     """
-    if beam_width is not None and beam_width < 1:
-        raise SegmentationError(f"beam_width must be >= 1, got {beam_width}")
     _check_inputs(grammar, tones, scheme)
-    tones = tuple(tones)
-    n = len(tones)
-    lp = _cached_scorer(grammar)
-    depth = grammar.config.max_depth
+    step = grammar.transitions().step
+    index = scheme.index
+    base = scheme.size + 1
+    modulus = base**grammar.config.max_depth
     options = _prominence_options(scheme)
+    close = index(Marker.WORD_CLOSE)
+    opens = [index(scheme.word_open_symbol(p)) for p in options]
+    tone_syms = {t: [index(scheme.tone_symbol(t, p)) for p in options] for t in set(tones)}
 
-    def push(window: tuple, sym) -> tuple:
-        if depth == 0:
-            return ()
-        return (window + (sym,))[-depth:]
+    # An entry is (score, words, parent's boundary rank, cut before this
+    # tone, parent's rank, prominent, window, automaton state, parent,
+    # boundary rank, rank); a candidate lacks the last two.  The window
+    # holds the last max_depth symbol indexes plus one as digits in base
+    # size + 1.  The first entry has read the turn opener and no tone.
+    turn_open = index(Marker.TURN_OPEN)
+    state, lp = step(0, turn_open)
+    entries = [(lp, 0, 0, False, 0, False, (turn_open + 1) % modulus, state, None, 0, 0)]
 
-    # state -> (log_prob, n_words, bounds_prefix, proms_prefix)
-    # state = (window, current word prominent)
-    states: dict = {}
+    for tone in tones:
+        syms = tone_syms[tone]
+        merged: dict = {}  # (window, prominent) -> best candidate
 
-    def offer(state, value):
-        old = states.get(state)
-        if old is None or _better(value, old):
-            states[state] = value
+        def offer(candidate):
+            key = candidate[6] * 2 + candidate[5]
+            old = merged.get(key)
+            if (
+                old is None
+                or candidate[0] > old[0]
+                or (candidate[0] == old[0] and candidate[1:6] < old[1:6])
+            ):
+                merged[key] = candidate
 
-    def _better(a, b) -> bool:
-        if a[0] != b[0]:
-            return a[0] > b[0]
-        if a[1] != b[1]:
-            return a[1] < b[1]
-        if a[2] != b[2]:
-            return a[2] < b[2]
-        return a[3] < b[3]
-
-    def clip(table: dict) -> dict:
-        if beam_width is None or len(table) <= beam_width:
-            return table
-        ranked = sorted(
-            table.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[1][2], kv[1][3])
-        )
-        return dict(ranked[:beam_width])
-
-    # open the turn, the first word, and consume the first tone
-    base_lp = lp(Marker.TURN_OPEN, ())
-    w0 = push((), Marker.TURN_OPEN)
-    for prom in options:
-        open_sym = scheme.word_open_symbol(prom)
-        lp1 = base_lp + lp(open_sym, w0)
-        w1 = push(w0, open_sym)
-        tone_sym = scheme.tone_symbol(tones[0], prom)
-        lp2 = lp1 + lp(tone_sym, w1)
-        offer((push(w1, tone_sym), prom), (lp2, 1, (), (prom,)))
-    states = clip(states)
-
-    for i in range(1, n):
-        nxt: dict = {}
-
-        def offer_next(state, value, nxt=nxt):
-            old = nxt.get(state)
-            if old is None or _better(value, old):
-                nxt[state] = value
-
-        for (window, prom), (score, words, bounds, proms) in states.items():
-            # continue the current word
-            tone_sym = scheme.tone_symbol(tones[i], prom)
-            offer_next(
-                (push(window, tone_sym), prom),
-                (score + lp(tone_sym, window), words, bounds + (False,), proms),
-            )
-            # close it and open a new word
-            s1 = score + lp(Marker.WORD_CLOSE, window)
-            w1 = push(window, Marker.WORD_CLOSE)
+        for entry in entries:
+            score, words, _, _, _, prom, window, state, _, brank, rank = entry
+            if words:
+                # continue the current word
+                a = syms[prom]
+                target, lp = step(state, a)
+                offer((score + lp, words, brank, False, rank, prom,
+                       (window * base + a + 1) % modulus, target, entry))
+                # or close it
+                state, lp = step(state, close)
+                score += lp
+                window = (window * base + close + 1) % modulus
+            # open a new word
             for new_prom in options:
-                open_sym = scheme.word_open_symbol(new_prom)
-                s2 = s1 + lp(open_sym, w1)
-                w2 = push(w1, open_sym)
-                tone_sym = scheme.tone_symbol(tones[i], new_prom)
-                s3 = s2 + lp(tone_sym, w2)
-                offer_next(
-                    (push(w2, tone_sym), new_prom),
-                    (s3, words + 1, bounds + (True,), proms + (new_prom,)),
-                )
-        states = clip(nxt)
+                opened, lp = step(state, opens[new_prom])
+                s1 = score + lp
+                w1 = (window * base + opens[new_prom] + 1) % modulus
+                a = syms[new_prom]
+                target, lp = step(opened, a)
+                offer((s1 + lp, words + 1, brank, True, rank, new_prom,
+                       (w1 * base + a + 1) % modulus, target, entry))
 
-    best = None
-    for (window, _prom), (score, words, bounds, proms) in states.items():
-        s1 = score + lp(Marker.WORD_CLOSE, window)
-        total = s1 + lp(Marker.TURN_CLOSE, push(window, Marker.WORD_CLOSE))
-        value = (total, words, bounds, proms)
-        if best is None or _better(value, best):
-            best = value
-    total, _, bounds, proms = best
-    return SegmentationResult(_spans_from_vectors(bounds, proms), total)
+        entries = []
+        brank = -1
+        last = None
+        for rank, candidate in enumerate(sorted(merged.values(), key=_rank_key)):
+            if candidate[2:4] != last:
+                last = candidate[2:4]
+                brank += 1
+            entries.append(candidate + (brank, rank))
+
+    best_key = None
+    for entry in entries:
+        score, words, _, _, _, _, _, state, _, brank, rank = entry
+        closed, lp = step(state, close)
+        s1 = score + lp
+        _, lp = step(closed, index(Marker.TURN_CLOSE))
+        key = (-(s1 + lp), words, brank, rank)
+        if best_key is None or key < best_key:
+            best_key, best = key, entry
+
+    bounds: list = []
+    proms: list = []
+    entry = best
+    while entry[8] is not None:
+        if entry[3]:
+            proms.append(entry[5])
+        bounds.append(entry[3])
+        entry = entry[8]
+    bounds.pop()  # the first tone opens the first word; no boundary precedes it
+    return SegmentationResult(
+        _spans_from_vectors(tuple(reversed(bounds)), tuple(reversed(proms))), -best_key[0]
+    )
 
 
 def segment_corpus(
     grammar: PatternGrammar,
     streams: Iterable[Sequence[Tone]],
     scheme: EncodingScheme,
-    beam_width: int | None = None,
 ) -> list[SegmentationResult]:
     """Segment each turn's tone stream independently, order preserved.
 
@@ -315,7 +293,7 @@ def segment_corpus(
     failures: list = []
     for i, stream in enumerate(streams):
         try:
-            results.append(segment_turn(grammar, stream, scheme, beam_width=beam_width))
+            results.append(segment_turn(grammar, stream, scheme))
         except TonosegError as err:
             failures.append((i, err))
     if failures:

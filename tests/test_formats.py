@@ -7,11 +7,13 @@ import pytest
 from tonoseg.core import (
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
+    AlphabetError,
     Corpus,
     EmptyWordError,
     PositionedError,
     UnknownToneError,
     encode_corpus,
+    symbol_from_token,
 )
 from tonoseg.formats import (
     CorruptModelError,
@@ -234,6 +236,18 @@ def test_model_corrupt_counts():
         load_model(text.replace(" 1", " -1", 1))
     with pytest.raises(CorruptModelError):
         load_model(text.replace(" 1", " x", 1))
+
+
+def test_model_unknown_context_token():
+    text = save_model(tiny_grammar())
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines[3:], 3) if not line.startswith(". "))
+    lines[k] = "t " + lines[k].split(" ", 1)[1]
+    with pytest.raises(CorruptModelError) as err:
+        load_model("\n".join(lines) + "\n")
+    with pytest.raises(AlphabetError) as ref:
+        symbol_from_token("t", HIERARCHY_PROMINENCE)
+    assert str(err.value) == f"line {k + 1}: {ref.value}"
 
 
 def test_model_missing_root():

@@ -1,0 +1,121 @@
+"""Property tests of the decoder and the transition table.
+
+The decoder must equal the brute-force oracle (spans and bitwise score)
+and the table must reproduce ``log_prob`` bitwise, on trained grammars
+and on hand-built ones whose tries need not be closed under prefixes.
+Runs are derandomized so the suite repeats exactly.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tonoseg.core import (
+    HIERARCHICAL,
+    HIERARCHY_PROMINENCE,
+    HIERARCHY_PROMINENCE_TONES,
+    Marker,
+    encode_corpus,
+)
+from tonoseg.grammar import PatternGrammar, TrainConfig, train
+from tonoseg.segment import brute_force_segment, segment_turn
+from helpers import TONES, random_corpus
+
+SCHEMES = (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def configs(draw):
+    return TrainConfig(
+        draw(st.integers(0, 5)), draw(st.integers(1, 3)), draw(st.sampled_from([0.1, 0.5, 1.0]))
+    )
+
+
+@st.composite
+def trained_grammars(draw):
+    scheme = draw(st.sampled_from(SCHEMES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    corpus = random_corpus(rng, rng.randint(1, 15))
+    return train(encode_corpus(corpus, scheme), scheme, draw(configs()))
+
+
+@st.composite
+def hand_built_grammars(draw):
+    """Slices of encoded turns as contexts, closed under suffixes only
+    (so mostly not under prefixes), with small random counts."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    config = draw(configs())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    seqs = encode_corpus(random_corpus(rng, 3), scheme)
+    contexts = {()}
+    for _ in range(draw(st.integers(0, 8)) if config.max_depth else 0):
+        seq = rng.choice(seqs)
+        k = rng.randint(1, config.max_depth)
+        end = rng.randint(k, len(seq))
+        contexts.update(tuple(seq[j:end]) for j in range(end - k, end))
+    counts = st.dictionaries(st.sampled_from(scheme.alphabet), st.integers(0, 3), max_size=4)
+    items = [(context, draw(counts)) for context in sorted(contexts, key=len)]
+    return PatternGrammar.from_counts(scheme, config, items)
+
+
+@st.composite
+def tone_blind_grammars(draw):
+    """Depth-1 grammars that score every tone symbol alike and both word
+    openers alike, so candidates that differ only in prominence tie
+    exactly and the tie-break rules decide."""
+    scheme = draw(st.sampled_from(SCHEMES[1:]))
+    config = TrainConfig(1, 1, draw(st.sampled_from([0.1, 0.5, 1.0])))
+    tones = [sym for sym in scheme.alphabet if not isinstance(sym, Marker)]
+    opens = [sym for sym in (Marker.WORD_OPEN, Marker.PROM_WORD_OPEN) if sym in scheme]
+    # Few tone-to-tone counts and many word openers after a close make
+    # words of several lengths compete.
+    after_open = dict.fromkeys(tones, 1)
+    after_tone = dict.fromkeys(tones, draw(st.integers(0, 2)))
+    after_tone[Marker.WORD_CLOSE] = draw(st.integers(0, 9))
+    after_close = dict.fromkeys(opens, draw(st.integers(1, 9)))
+    after_close[Marker.TURN_CLOSE] = draw(st.integers(0, 9))
+    items = [
+        ((), {Marker.TURN_OPEN: 1}),
+        ((Marker.TURN_OPEN,), dict.fromkeys(opens, 1)),
+        ((Marker.WORD_CLOSE,), after_close),
+    ]
+    items += [((sym,), after_open) for sym in opens] + [((t,), after_tone) for t in tones]
+    return PatternGrammar.from_counts(scheme, config, items)
+
+
+grammars = st.one_of(trained_grammars(), hand_built_grammars())
+
+
+@PROPERTY
+@given(grammars, st.lists(st.sampled_from(TONES), min_size=1, max_size=8))
+def test_decoder_equals_oracle(grammar, stream):
+    scheme = grammar.scheme
+    assert segment_turn(grammar, stream, scheme) == brute_force_segment(grammar, stream, scheme)
+
+
+@PROPERTY
+@given(tone_blind_grammars(), st.lists(st.sampled_from(TONES), min_size=4, max_size=7))
+def test_decoder_breaks_ties_like_oracle(grammar, stream):
+    scheme = grammar.scheme
+    assert segment_turn(grammar, stream, scheme) == brute_force_segment(grammar, stream, scheme)
+
+
+@PROPERTY
+@given(grammars, st.data())
+def test_table_scores_equal_log_prob(grammar, data):
+    # Sequences built from retained contexts reach the deep states.
+    scheme = grammar.scheme
+    pieces = st.one_of(
+        st.sampled_from(scheme.alphabet).map(lambda sym: (sym,)),
+        st.sampled_from([context for context, _ in grammar.iter_counts()]),
+    )
+    seq = [sym for piece in data.draw(st.lists(pieces, max_size=12)) for sym in piece]
+    table = grammar.transitions()
+    state, total = 0, 0.0
+    for i, sym in enumerate(seq):
+        state, lp = table.step(state, scheme.index(sym))
+        assert lp == grammar.log_prob(sym, seq[:i])
+        total += lp
+    assert total == grammar.sequence_log_probability(seq)

@@ -1,4 +1,11 @@
+import gc
+import json
 import random
+import sys
+import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +14,12 @@ from tonoseg.core import (
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
     HIERARCHY_PROMINENCE_TONES,
+    Marker,
     Tone,
     encode_corpus,
+    get_scheme,
 )
+from tonoseg.formats import load_model, parse_corpus, save_model
 from tonoseg.grammar import TrainConfig, train
 from tonoseg.segment import (
     SegmentCorpusError,
@@ -26,6 +36,18 @@ from tonoseg.synth import PlantedGrammar, sample_corpus
 from helpers import TONES, random_corpus, random_planted
 
 H, U, S, T, D, L = Tone.HIGHER, Tone.UPSTEP, Tone.SAME, Tone.TOP, Tone.DOWNSTEP, Tone.LOWER
+
+GOLDEN = Path(__file__).parent / "fixtures" / "decoder_golden.json"
+
+# The planted cue grammar of demos/planted_example.json.
+CUE = {
+    "word_lengths": {"1": 0.2, "2": 0.5, "3": 0.3},
+    "interior_tones": {"T": 0.3, "H": 0.4, "U": 0.3},
+    "final_tones": {"L": 1.0},
+    "turn_lengths": {"2": 0.5, "3": 0.5},
+    "prominence": 0.1,
+    "seed": 7,
+}
 
 
 def trained(scheme, rng, n_turns=8, depth=None, smoothing=0.5, min_count=1):
@@ -157,22 +179,6 @@ def test_segment_errors():
         brute_force_segment(g, [H] * 15, HIERARCHICAL)
 
 
-def test_beam_option():
-    rng = random.Random(39)
-    for _ in range(10):
-        g = trained(HIERARCHICAL, rng)
-        stream = tuple(rng.choice(TONES) for _ in range(rng.randint(1, 9)))
-        exact = segment_turn(g, stream, HIERARCHICAL)
-        # a beam wider than the state space changes nothing
-        assert segment_turn(g, stream, HIERARCHICAL, beam_width=10_000) == exact
-        # a greedy beam still returns a valid tiling
-        greedy = segment_turn(g, stream, HIERARCHICAL, beam_width=1)
-        assert greedy.spans[0].start == 0 and greedy.spans[-1].end == len(stream)
-        assert greedy.log_prob <= exact.log_prob + 1e-12
-    with pytest.raises(SegmentationError):
-        segment_turn(g, stream, HIERARCHICAL, beam_width=0)
-
-
 def test_segment_corpus_order_and_errors():
     rng = random.Random(37)
     g = trained(HIERARCHICAL, rng)
@@ -191,3 +197,140 @@ def test_segment_scale():
     g = train(encode_corpus(corpus, HIERARCHICAL), HIERARCHICAL, TrainConfig())
     results = segment_corpus(g, [t.tone_stream() for t in corpus.turns], HIERARCHICAL)
     assert len(results) == len(corpus.turns)
+
+
+def test_decoder_golden():
+    # Pinned outputs of the decoder this one replaced (written by
+    # make_decoder_golden.py): spans and the score, bit for bit.
+    data = json.loads(GOLDEN.read_text())
+    checked = 0
+    for case in data["grammars"]:
+        scheme = get_scheme(case["scheme"])
+        corpus = parse_corpus(case["corpus"])
+        g = train(encode_corpus(corpus, scheme), scheme, TrainConfig(*case["config"]))
+        if case["reload"]:
+            g = load_model(save_model(g))
+        for turn in case["turns"]:
+            got = segment_turn(g, [Tone(c) for c in turn["tones"]], scheme)
+            assert [[s.start, s.end, s.prominent] for s in got.spans] == turn["spans"]
+            assert got.log_prob.hex() == turn["log_prob"]
+            checked += 1
+    assert checked == 300
+
+
+def test_float_tie_merges_on_window():
+    # Two prefixes whose scores differ become equal after the same
+    # continuation is added in floating point; the decoder must keep the
+    # candidate a (window, prominence) merge keeps.  Merging on the
+    # automaton state alone returns (0,3) (3,7) ... with an equal score.
+    rng = random.Random(52)
+    g = train(
+        encode_corpus(random_corpus(rng, 12), HIERARCHY_PROMINENCE),
+        HIERARCHY_PROMINENCE,
+        TrainConfig(4, 1, 0.1),
+    )
+    stream = [rng.choice(TONES) for _ in range(40)]
+    assert "".join(t.value for t in stream) == "BHSSSUMDBTLHSLHHTBMDUBBULHMUUDDMDDUHUMUM"
+    result = segment_turn(g, stream, HIERARCHY_PROMINENCE)
+    F, P = False, True
+    assert result.spans == (
+        (0, 4, F), (4, 7, F), (7, 10, F), (10, 12, P), (12, 14, P),
+        (14, 21, P), (21, 31, F), (31, 34, F), (34, 40, P),
+    )
+    symbols = spans_to_symbols(stream, result.spans, HIERARCHY_PROMINENCE)
+    assert result.log_prob == g.sequence_log_probability(symbols)
+
+
+def test_model_not_prefix_closed():
+    # "H L" is retained but its prefix "H" is not: after reading H the
+    # automaton must still remember it, or "H L" is never matched.
+    def row(counts):
+        return " ".join(str(counts.get(str(s), 0)) for s in HIERARCHICAL.alphabet)
+
+    text = "\n".join([
+        "tonoseg-model v1",
+        "scheme hier",
+        "config 2 1 0.5",
+        ". " + row({"H": 5, "L": 5, ")": 3}),
+        "L " + row({"H": 1}),
+        "H L " + row({")": 9}),
+    ]) + "\n"
+    g = load_model(text)
+    seq = [Marker.TURN_OPEN, Marker.WORD_OPEN, H, L, Marker.WORD_CLOSE, Marker.TURN_CLOSE]
+    assert g.sequence_log_probability(seq) == -13.848898655530903
+    state, total = 0, 0.0
+    for sym in seq:
+        state, lp = g.transitions().step(state, HIERARCHICAL.index(sym))
+        total += lp
+    assert total == -13.848898655530903
+    rng = random.Random(41)
+    streams = [(H, L), (L, H, L), (H, L, H, L, L)]
+    streams += [tuple(rng.choice([H, L, T]) for _ in range(rng.randint(1, 9))) for _ in range(30)]
+    for stream in streams:
+        got = segment_turn(g, stream, HIERARCHICAL)
+        assert got == brute_force_segment(g, stream, HIERARCHICAL)
+        rescored = g.sequence_log_probability(spans_to_symbols(stream, got.spans, HIERARCHICAL))
+        assert got.log_prob == rescored
+
+
+def test_threads_share_one_fresh_grammar():
+    rng = random.Random(42)
+    g = trained(HIERARCHY_PROMINENCE, rng, n_turns=20, depth=4)
+    text = save_model(g)
+    streams = [tuple(rng.choice(TONES) for _ in range(rng.randint(1, 40))) for _ in range(40)]
+    want = [segment_turn(load_model(text), s, HIERARCHY_PROMINENCE) for s in streams]
+    fresh = load_model(text)
+
+    def decode_all(offset):
+        order = streams[offset:] + streams[:offset]
+        return [segment_turn(fresh, s, HIERARCHY_PROMINENCE) for s in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(decode_all, 10 * k) for k in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        assert got == want[10 * k:] + want[:10 * k]
+
+
+def test_decoded_grammar_freed_at_once():
+    # The grammar owns its transition table; no reference cycle may keep
+    # the trie alive until the next full garbage collection.
+    g = trained(HIERARCHY_PROMINENCE, random.Random(43), depth=4)
+    segment_turn(g, (H, S, T, L), HIERARCHY_PROMINENCE)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_decoder_cost_is_linear_in_turn_length():
+    # The cost per tone of a 3200-tone turn may be at most twice that of
+    # a 200-tone turn; a decoder that copies prefixes per step reads
+    # about 3.2x.  Interleaved runs and the minimum of five absorb the
+    # CPU speed drifting while the test runs.
+    planted = PlantedGrammar.from_mapping(CUE)
+    g = train(
+        encode_corpus(sample_corpus(planted, 3000, seed=1), HIERARCHY_PROMINENCE),
+        HIERARCHY_PROMINENCE,
+        TrainConfig(),
+    )
+    one_turn = PlantedGrammar.from_mapping({**CUE, "turn_lengths": {"2000": 1.0}})
+    long_turn = sample_corpus(one_turn, 2000, seed=2)
+    stream = long_turn.turns[0].tone_stream()[:3200]
+    assert len(stream) == 3200
+    segment_turn(g, stream, HIERARCHY_PROMINENCE)
+    best = {200: float("inf"), 3200: float("inf")}
+    for _ in range(5):
+        for n in best:
+            start = time.perf_counter()
+            segment_turn(g, stream[:n], HIERARCHY_PROMINENCE)
+            best[n] = min(best[n], (time.perf_counter() - start) / n)
+    assert best[3200] <= 2.0 * best[200], best
