@@ -183,6 +183,16 @@ class EncodingScheme:
             object.__setattr__(self, "_index_cache", idx)
         return idx
 
+    @property
+    def _by_token(self) -> dict:
+        """Symbols keyed by the token ``str()`` writes for them."""
+        by_token = self.__dict__.get("_by_token_cache")
+        if by_token is None:
+            # Reversed, so a token shared by two symbols maps to the first.
+            by_token = {str(s): s for s in reversed(self.alphabet)}
+            object.__setattr__(self, "_by_token_cache", by_token)
+        return by_token
+
     def word_open_symbol(self, prominent: bool) -> Symbol:
         if prominent and self.prominence == "marker":
             return Marker.PROM_WORD_OPEN
@@ -397,7 +407,9 @@ def decode_turn(symbols: Sequence, scheme: EncodingScheme) -> Turn:
 
 def symbol_from_token(token: str, scheme: EncodingScheme) -> Symbol:
     """Parse a whitespace-delimited symbol token as written by ``str()``."""
-    for sym in scheme.alphabet:
-        if str(sym) == token:
-            return sym
-    raise AlphabetError(f"token {token!r} is not a symbol of scheme {scheme.scheme_id!r}")
+    try:
+        return scheme._by_token[token]
+    except KeyError:
+        raise AlphabetError(
+            f"token {token!r} is not a symbol of scheme {scheme.scheme_id!r}"
+        ) from None

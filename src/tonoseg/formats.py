@@ -30,6 +30,7 @@ from .core import (
     Turn,
     UnknownToneError,
     get_scheme,
+    symbol_from_token,
 )
 from .grammar import PatternGrammar, TrainConfig
 from .segment import SegmentationResult, WordSpan
@@ -211,7 +212,6 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
         raise CorruptModelError(f"bad config values: {err}") from None
 
     n = scheme.size
-    by_token = {str(sym): sym for sym in scheme.alphabet}
     items = []
     for line_no, line in lines:
         tokens = line.split()
@@ -228,12 +228,9 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
             context: tuple = ()
         else:
             try:
-                context = tuple([by_token[t] for t in ctx_tokens])
-            except KeyError as err:
-                raise CorruptModelError(
-                    f"line {line_no}: token {err.args[0]!r} is not a symbol of scheme "
-                    f"{scheme.scheme_id!r}"
-                ) from None
+                context = tuple(symbol_from_token(t, scheme) for t in ctx_tokens)
+            except TonosegError as err:
+                raise CorruptModelError(f"line {line_no}: {err}") from None
         items.append((context, dict(zip(scheme.alphabet, counts))))
     if not items or items[0][0] != ():
         raise CorruptModelError("document has no root node")

@@ -19,6 +19,10 @@ import numpy as np
 
 from .core import AlphabetError, EncodingScheme, TonosegError
 
+# Guards the creation and filling of every grammar's transition table.
+# One lock for the module, not one per grammar, so grammars stay plain
+# data that pickle and deepcopy accept.
+_TABLE_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -93,7 +97,7 @@ class PatternGrammar:
     entropy functions never touch it.
 
     Queries are safe from any number of threads.  The table is created,
-    and each entry filled, under the grammar's lock; an entry is written
+    and each entry filled, under one module-wide lock; an entry is written
     once, its log-probability before its next state, and never changes
     afterwards.  A reader that sees a next state of -1 takes the lock and
     fills (or finds filled) the entry, so every thread sees the same
@@ -104,8 +108,6 @@ class PatternGrammar:
         self.scheme = scheme
         self.config = config
         self._root = root if root is not None else _Node()
-        self._symbols = frozenset(scheme.alphabet)
-        self._lock = threading.Lock()
         self._transitions: _Transitions | None = None
 
     # -- structure ----------------------------------------------------
@@ -198,7 +200,7 @@ class PatternGrammar:
 
     def log_prob(self, symbol, context: Sequence) -> float:
         """ln P(symbol | context); -inf when unsmoothed and unseen."""
-        if symbol not in self._symbols:
+        if symbol not in self.scheme:
             raise AlphabetError(f"symbol {symbol!r} not in scheme alphabet")
         return _smoothed_log_prob(
             _match(self._root, context), symbol, self.config.smoothing, self.scheme.size
@@ -208,7 +210,7 @@ class PatternGrammar:
         """The grammar's context automaton, created on first use."""
         table = self._transitions
         if table is None:
-            with self._lock:
+            with _TABLE_LOCK:
                 if self._transitions is None:
                     self._transitions = _Transitions(self)
                 table = self._transitions
@@ -260,7 +262,6 @@ class _Transitions:
         self._alphabet = grammar.scheme.alphabet
         self._smoothing = grammar.config.smoothing
         self._root = grammar._root
-        self._lock = grammar._lock
         self._contexts: list[tuple] = []
         self._nodes: list[_Node] = []
         self._ids: dict[tuple, int] = {}
@@ -294,7 +295,7 @@ class _Transitions:
 
     def fill(self, k: int) -> int:
         """Compute entry ``k`` if no thread has yet; return its next state."""
-        with self._lock:
+        with _TABLE_LOCK:
             return self._fill(k)
 
     def _fill(self, k: int) -> int:
@@ -324,13 +325,16 @@ class _Transitions:
 
 
 def _unretained_prefixes(root: _Node) -> set:
-    """Proper prefixes of retained contexts that are not retained.
+    """A superset of the proper prefixes of retained contexts that are
+    not themselves retained.
 
     Trained tries have none (a context's prefix occurs wherever the
     context does, one position earlier); ``from_counts`` accepts tries
     that do.  The node of ``c[:-1]`` is the child, on ``c``'s oldest
     symbol, of the node of ``c[1:-1]``, so one walk finds every context
-    whose prefix is missing.
+    whose prefix is missing.  For such a context all its proper prefixes
+    go in, so the set may also hold retained ones (``(a,)`` when ``(a, b)``
+    is missing); ``_Transitions._state`` matches those to their own node.
     """
     out: set = set()
     # (node, its context, node of context[:-1] or None)

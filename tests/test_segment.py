@@ -1,5 +1,7 @@
+import copy
 import gc
 import json
+import pickle
 import random
 import sys
 import time
@@ -295,6 +297,20 @@ def test_threads_share_one_fresh_grammar():
         sys.setswitchinterval(interval)
     for k, got in enumerate(results):
         assert got == want[10 * k:] + want[:10 * k]
+
+
+def test_grammar_pickles_after_decoding():
+    # The table filled by decoding travels with the grammar; copies must
+    # decode as the original does, and a fresh grammar must pickle too.
+    rng = random.Random(44)
+    g = trained(HIERARCHY_PROMINENCE, rng, n_turns=12, depth=4)
+    streams = [tuple(rng.choice(TONES) for _ in range(rng.randint(1, 30))) for _ in range(20)]
+    want = [segment_turn(g, s, HIERARCHY_PROMINENCE) for s in streams]
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert save_model(clone) == save_model(g)
+        assert [segment_turn(clone, s, HIERARCHY_PROMINENCE) for s in streams] == want
+    fresh = pickle.loads(pickle.dumps(load_model(save_model(g))))
+    assert [segment_turn(fresh, s, HIERARCHY_PROMINENCE) for s in streams] == want
 
 
 def test_decoded_grammar_freed_at_once():
