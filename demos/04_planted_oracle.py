@@ -4,8 +4,6 @@
 # true next-symbol distribution and watch the trained grammar converge
 # to it as the corpus grows.
 
-import numpy as np
-
 from tonoseg import (
     HIERARCHICAL,
     PlantedGrammar,
@@ -47,7 +45,7 @@ for n_words in (100, 1000, 10000):
     grammar = train(encode_corpus(corpus, HIERARCHICAL), HIERARCHICAL, TrainConfig(4, 1, 0.0))
     estimate = grammar.conditional(prefix)
     row = "".join(f"{estimate[i]:8.4f}" for i, p in enumerate(truth) if p > 0)
-    err = float(np.max(np.abs(estimate - truth)))
+    err = max(abs(e - t) for e, t in zip(estimate, truth))
     print(f"{n_words:12d}  {row}{err:9.4f}")
 
 print()

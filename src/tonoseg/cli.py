@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import TonosegError, encode_corpus, get_scheme
+from .core import TonosegError, encode_corpus, get_scheme, scheme_ids
 from .evaluate import confusion, format_report_kv, format_report_table, metrics
 from .formats import (
     load_model,
@@ -24,7 +24,7 @@ from .grammar import TrainConfig, marginal_entropy, model_entropy, train
 from .segment import segment_corpus
 from .synth import PlantedGrammar, sample_corpus
 
-SCHEME_CHOICES = ("flat", "hier", "hierprom", "hierprom-tones")
+SCHEME_CHOICES = scheme_ids()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,10 +186,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (TonosegError, KeyError, ValueError) as err:
-        print(f"tonoseg: error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (TonosegError, KeyError, ValueError, OSError) as err:
         print(f"tonoseg: error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # pragma: no cover - invariant violations

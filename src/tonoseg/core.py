@@ -237,11 +237,16 @@ def register_scheme(scheme: EncodingScheme) -> None:
     _SCHEME_REGISTRY[scheme.scheme_id] = scheme
 
 
+def scheme_ids() -> tuple[str, ...]:
+    """Ids of the registered schemes, sorted."""
+    return tuple(sorted(_SCHEME_REGISTRY))
+
+
 def get_scheme(scheme_id: str) -> EncodingScheme:
     try:
         return _SCHEME_REGISTRY[scheme_id]
     except KeyError:
-        known = ", ".join(sorted(_SCHEME_REGISTRY))
+        known = ", ".join(scheme_ids())
         raise KeyError(f"unknown scheme {scheme_id!r} (known: {known})") from None
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Corpus, TonosegError
-from .segment import SegmentationResult, WordSpan
+from .segment import SegmentationResult, _spans_from_vectors
 
 
 class EvaluationError(TonosegError):
@@ -124,14 +124,8 @@ def baseline_segment(
             slots = [True] * (n - 1)
         else:
             slots = [rng.random() < p for _ in range(n - 1)]
-        spans = []
-        start = 0
-        for i, cut in enumerate(slots, start=1):
-            if cut:
-                spans.append(WordSpan(start, i, False))
-                start = i
-        spans.append(WordSpan(start, n, False))
-        results.append(SegmentationResult(tuple(spans), math.nan))
+        spans = _spans_from_vectors(slots, (False,) * n)
+        results.append(SegmentationResult(spans, math.nan))
     return results
 
 

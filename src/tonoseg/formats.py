@@ -222,8 +222,6 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
             counts = [int(t) for t in count_tokens]
         except ValueError:
             raise CorruptModelError(f"line {line_no}: non-integer count") from None
-        if any(c < 0 for c in counts):
-            raise CorruptModelError(f"line {line_no}: negative count")
         if ctx_tokens == ["."]:
             context: tuple = ()
         else:

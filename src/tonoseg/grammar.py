@@ -15,8 +15,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .core import AlphabetError, EncodingScheme, TonosegError
 
 # Guards the creation and filling of every grammar's transition table.
@@ -75,8 +73,9 @@ def _match(root: _Node, context: Sequence) -> _Node:
 def _smoothed_log_prob(node: _Node, symbol, smoothing: float, size: int) -> float:
     """ln P(symbol) under add-lambda smoothing at one trie node.
 
-    The single place the smoothed arithmetic lives: ``log_prob`` and the
-    transition table both call it, so their scores agree bitwise.
+    The single place the smoothed arithmetic lives: ``log_prob``,
+    ``conditional`` and the transition table all call it, so their
+    scores agree bitwise.
     """
     denom = node.total + smoothing * size
     if denom == 0:
@@ -182,21 +181,17 @@ class PatternGrammar:
 
     # -- prediction ---------------------------------------------------
 
-    def conditional(self, context: Sequence) -> np.ndarray:
+    def conditional(self, context: Sequence) -> tuple[float, ...]:
         """Smoothed successor distribution over the alphabet, in order.
 
         Only the last ``max_depth`` context symbols can matter.  With a
         positive smoothing constant the result is strictly positive.
         """
         node = _match(self._root, context)
-        lam = self.config.smoothing
-        denom = node.total + lam * self.scheme.size
-        if denom == 0:
-            raise TonosegError("no counts at matched context and smoothing is zero")
-        vec = np.full(self.scheme.size, lam / denom)
-        for sym, c in node.counts.items():
-            vec[self.scheme.index(sym)] += c / denom
-        return vec
+        lam, size = self.config.smoothing, self.scheme.size
+        return tuple(
+            math.exp(_smoothed_log_prob(node, sym, lam, size)) for sym in self.scheme.alphabet
+        )
 
     def log_prob(self, symbol, context: Sequence) -> float:
         """ln P(symbol | context); -inf when unsmoothed and unseen."""

@@ -131,7 +131,7 @@ def enumerate_candidates(n_tones: int, scheme: EncodingScheme) -> Iterable[tuple
             yield bounds, proms
 
 
-def _spans_from_vectors(bounds: tuple, proms: tuple) -> tuple[WordSpan, ...]:
+def _spans_from_vectors(bounds: Sequence, proms: Sequence) -> tuple[WordSpan, ...]:
     spans = []
     start = 0
     w = 0

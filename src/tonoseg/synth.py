@@ -16,8 +16,6 @@ import json
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     HIERARCHICAL,
     Corpus,
@@ -280,7 +278,7 @@ class _PrefixWalker:
 
 def planted_conditional(
     planted: PlantedGrammar, context, scheme: EncodingScheme = HIERARCHICAL
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """True next-symbol distribution after an encoded-turn prefix.
 
     ``context`` must be a full prefix starting at the turn-open symbol;
@@ -294,10 +292,7 @@ def planted_conditional(
     for sym in context:
         walker.consume(sym)
     dist = walker.next_distribution()
-    vec = np.zeros(scheme.size)
-    for sym, p in dist.items():
-        vec[scheme.index(sym)] = p
-    return vec
+    return tuple(dist.get(sym, 0.0) for sym in scheme.alphabet)
 
 
 def prefix_probability(

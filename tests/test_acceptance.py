@@ -186,7 +186,7 @@ def test_acceptance_7_round_trips():
         ok &= loaded.config == config and loaded.scheme == scheme
         sequence = encode_corpus(corpus, scheme)[0]
         for k in range(len(sequence)):
-            diff = np.abs(loaded.conditional(sequence[:k]) - grammar.conditional(sequence[:k]))
+            diff = np.abs(np.asarray(loaded.conditional(sequence[:k])) - grammar.conditional(sequence[:k]))
             ok &= float(diff.max()) <= 1e-12
         if not ok:
             break

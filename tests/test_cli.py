@@ -112,6 +112,19 @@ def test_bad_input_data_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_negative_model_count_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    assert main(["train", "--scheme", "flat", "--corpus", str(corpus), "--out", str(model)]) == 0
+    lines = model.read_text().splitlines()
+    root = next(i for i, line in enumerate(lines) if line.startswith(". "))
+    lines[root] = lines[root].rsplit(" ", 1)[0] + " -1"
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["entropy", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert "negative count" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     assert main(["train", "--corpus", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "m.txt")]) == 2
 

@@ -234,6 +234,11 @@ def test_model_corrupt_counts():
         load_model(text.replace(" 1", " -1", 1))
     with pytest.raises(CorruptModelError):
         load_model(text.replace(" 1", " x", 1))
+    # the replacements above hit the config line; this one a node's count
+    lines = text.splitlines()
+    lines[3] = lines[3].rsplit(" ", 1)[0] + " -1"
+    with pytest.raises(CorruptModelError, match="negative count"):
+        load_model("\n".join(lines) + "\n")
 
 
 def test_model_unknown_context_token():

@@ -143,8 +143,8 @@ def test_probability_vector_properties():
         seq = seqs[rng.randrange(len(seqs))]
         k = rng.randint(0, len(seq))
         vec = g.conditional(seq[:k])
-        assert abs(vec.sum() - 1.0) <= 1e-12
-        assert (vec > 0).all()
+        assert abs(math.fsum(vec) - 1.0) <= 1e-12
+        assert all(p > 0 for p in vec)
 
 
 def test_sequence_log_probability_uniform():
