@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence, Union
 
 
@@ -175,23 +176,15 @@ class EncodingScheme:
     def __contains__(self, symbol) -> bool:
         return symbol in self._index
 
-    @property
+    @cached_property
     def _index(self) -> dict:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {s: i for i, s in enumerate(self.alphabet)}
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
+        return {s: i for i, s in enumerate(self.alphabet)}
 
-    @property
+    @cached_property
     def _by_token(self) -> dict:
         """Symbols keyed by the token ``str()`` writes for them."""
-        by_token = self.__dict__.get("_by_token_cache")
-        if by_token is None:
-            # Reversed, so a token shared by two symbols maps to the first.
-            by_token = {str(s): s for s in reversed(self.alphabet)}
-            object.__setattr__(self, "_by_token_cache", by_token)
-        return by_token
+        # Reversed, so a token shared by two symbols maps to the first.
+        return {str(s): s for s in reversed(self.alphabet)}
 
     def word_open_symbol(self, prominent: bool) -> Symbol:
         if prominent and self.prominence == "marker":
@@ -408,6 +401,11 @@ def decode_turn(symbols: Sequence, scheme: EncodingScheme) -> Turn:
     if not words:
         raise DecodeError("turn contains no words", len(symbols) - 1)
     return Turn(tuple(words))
+
+
+def context_text(context: Sequence[Symbol]) -> str:
+    """A context as model files write it: its symbols' tokens, ``.`` if empty."""
+    return " ".join(map(str, context)) or "."
 
 
 def symbol_from_token(token: str, scheme: EncodingScheme) -> Symbol:

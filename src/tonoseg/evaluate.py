@@ -2,8 +2,9 @@
 
 The unit of scoring is the inter-tone slot: an n-tone turn has n-1
 slots, each either holding a word boundary or not.  Turn edges are not
-slots (they are forced).  Metrics are computed in exact rational
-arithmetic and reported as floats.
+slots (they are forced).  Prominence is not scored: a prominent
+(``*``) span counts exactly as a plain one.  Metrics are computed in
+exact rational arithmetic and reported as floats.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def confusion(reference: Corpus, predicted: Sequence[SegmentationResult]) -> Con
     """Compare predicted boundary slots against the reference corpus.
 
     Requires one prediction per turn, over the same number of tones.
+    Span prominence is ignored.
     """
     if len(reference.turns) != len(predicted):
         raise EvaluationError(

@@ -29,6 +29,7 @@ from .core import (
     TonosegError,
     Turn,
     UnknownToneError,
+    context_text,
     get_scheme,
     symbol_from_token,
 )
@@ -166,9 +167,8 @@ def save_model(grammar: PatternGrammar) -> str:
     ]
     alphabet = grammar.scheme.alphabet
     for context, counts in grammar.iter_counts():
-        ctx = " ".join(str(s) for s in context) if context else "."
         row = " ".join(str(counts.get(s, 0)) for s in alphabet)
-        out.append(f"{ctx} {row}")
+        out.append(f"{context_text(context)} {row}")
     return "\n".join(out) + "\n"
 
 
@@ -200,7 +200,7 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
     try:
         scheme = get_scheme(scheme_id)
     except KeyError as err:
-        raise SchemeMismatchError(str(err)) from None
+        raise SchemeMismatchError(err.args[0]) from None
 
     _, config_line = next_line("config line")
     parts = config_line.split()
@@ -212,7 +212,7 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
         raise CorruptModelError(f"bad config values: {err}") from None
 
     n = scheme.size
-    items = []
+    rows = []
     for line_no, line in lines:
         tokens = line.split()
         if len(tokens) < n + 1:
@@ -229,15 +229,20 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
                 context = tuple(symbol_from_token(t, scheme) for t in ctx_tokens)
             except TonosegError as err:
                 raise CorruptModelError(f"line {line_no}: {err}") from None
-        items.append((context, dict(zip(scheme.alphabet, counts))))
-    if not items or items[0][0] != ():
+        rows.append((line_no, context, dict(zip(scheme.alphabet, counts))))
+    if not rows or rows[0][1] != ():
         raise CorruptModelError("document has no root node")
+
+    def items():
+        # from_counts reads the rows lazily, so line_no names the row it fails on.
+        nonlocal line_no
+        for line_no, context, counts in rows:
+            yield context, counts
+
     try:
-        return PatternGrammar.from_counts(scheme, config, items)
+        return PatternGrammar.from_counts(scheme, config, items())
     except TonosegError as err:
-        if isinstance(err, ModelFormatError):
-            raise
-        raise CorruptModelError(str(err)) from None
+        raise CorruptModelError(f"line {line_no}: {err}") from None
 
 
 _SPAN = re.compile(r"^(\d+)-(\d+)(\*?)$")

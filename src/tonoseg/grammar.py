@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import AlphabetError, EncodingScheme, TonosegError
+from .core import AlphabetError, EncodingScheme, TonosegError, context_text
 
 # Guards the creation and filling of every grammar's transition table.
 # One lock for the module, not one per grammar, so grammars stay plain
@@ -152,7 +152,7 @@ class PatternGrammar:
         for context, counts in items:
             if len(context) > config.max_depth:
                 raise TonosegError(
-                    f"context {context!r} longer than max_depth={config.max_depth}"
+                    f"context {context_text(context)!r} longer than max_depth={config.max_depth}"
                 )
             node = root
             for depth, sym in enumerate(reversed(tuple(context))):
@@ -162,18 +162,21 @@ class PatternGrammar:
                 if child is None:
                     if depth != len(context) - 1:
                         raise TonosegError(
-                            f"context {context!r} lacks its suffix; trie not suffix-closed"
+                            f"context {context_text(context)!r} lacks its suffix; "
+                            "trie not suffix-closed"
                         )
                     child = _Node()
                     node.children[sym] = child
                 node = child
             if node.counts:
-                raise TonosegError(f"duplicate context {context!r}")
+                raise TonosegError(f"duplicate context {context_text(context)!r}")
             for sym, c in counts.items():
                 if sym not in allowed:
                     raise AlphabetError(f"successor {sym!r} not in scheme alphabet")
                 if c < 0:
-                    raise TonosegError(f"negative count for {sym!r} in context {context!r}")
+                    raise TonosegError(
+                        f"negative count for {str(sym)!r} in context {context_text(context)!r}"
+                    )
                 if c:
                     node.counts[sym] = c
                     node.total += c

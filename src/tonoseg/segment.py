@@ -8,25 +8,32 @@ enumerates the candidates outright and is the oracle the decoder is
 tested against.  Both score through the grammar's transition table
 (``PatternGrammar.transitions``).
 
-``segment_turn`` is a Viterbi pass with backpointers.  After each tone
-it keeps one entry per merge state: the last ``max_depth`` symbols (the
-window, one integer in base ``size + 1``) and the current word's
-prominence.  Predictions depend on at most ``max_depth`` preceding
-symbols, so two partial candidates in the same merge state score every
-continuation alike and only the better one is kept.  Each entry points
-to its parent entry instead of copying its boundary and prominence
-prefixes.  The number of merge states depends on ``max_depth``, not on
-the turn length (at most 8 per tone on the default depth under
-``hierprom``), so the cost grows linearly with the turn length.
+``segment_turn`` is a Viterbi pass.  After each tone it keeps one
+entry per merge state: the last ``max_depth`` symbols (the window, one
+integer in base ``size + 1``) and the current word's prominence.
+Predictions depend on at most ``max_depth`` preceding symbols, so two
+partial candidates in the same merge state score every continuation
+alike and only the better one is kept.  The number of merge states
+depends on ``max_depth``, not on the turn length (at most 8 per tone on
+the default depth under ``hierprom``).
 
 Ties are broken deterministically: higher score first, then fewer
 words, then the lexicographically smallest boundary vector, then the
-smallest prominence vector (all-plain preferred).  Each entry carries
-its rank in that order among the entries of its step, and the rank of
-its boundary vector alone.  A candidate's vectors are its parent's plus
-one decision, so comparing (parent's boundary rank, cut) and then
-(parent's rank, prominence) orders candidates exactly as comparing the
-whole vectors would.
+smallest prominence vector (all-plain preferred), the order of
+``brute_force_segment``'s key.  Each entry carries its boundary vector
+as an integer with one bit per tone (1 where a word opens) and its
+prominence vector with one bit per word.  All entries of a step have
+as many boundary bits, and equal boundary vectors hold as many words,
+so comparing the integers compares the vectors, and merging and the
+final choice both compare ``(-score, words, bits, prominence bits)``.
+
+Each step shifts these integers, which copies them, so a step at tone
+n costs O(n / 30) machine words on top of its constant work and a turn
+costs O(n**2 / 30) in all.  The cost per tone is flat up to a few
+thousand tones (the longest turns the benchmark and the linearity test
+decode) and grows slowly beyond: under ``hierprom`` on a 2-CPU machine,
+about 25 µs per tone at 200 and 3200 tones, 25-27 at 12,800 and 26-29
+at 27,800 tones (in the benchmark's reference seconds).
 """
 
 from __future__ import annotations
@@ -175,11 +182,6 @@ def brute_force_segment(
     return best
 
 
-def _rank_key(candidate):
-    # parent's boundary rank, cut, parent's rank, prominence
-    return candidate[2:6]
-
-
 def segment_turn(
     grammar: PatternGrammar,
     tones: Sequence[Tone],
@@ -187,10 +189,10 @@ def segment_turn(
 ) -> SegmentationResult:
     """Maximum-score boundary (and prominence) placement, by exact DP.
 
-    See the module docstring for the merge state, the ranks and the
-    backpointers.  Prefix scores accumulate symbol by symbol in emission
-    order, which keeps them bitwise equal to ``sequence_log_probability``
-    of the same candidate.
+    See the module docstring for the merge state and the integer key.
+    Prefix scores accumulate symbol by symbol in emission order, which
+    keeps them bitwise equal to ``sequence_log_probability`` of the same
+    candidate.
     """
     _check_inputs(grammar, tones, scheme)
     step = grammar.transitions().step
@@ -202,82 +204,63 @@ def segment_turn(
     opens = [index(scheme.word_open_symbol(p)) for p in options]
     tone_syms = {t: [index(scheme.tone_symbol(t, p)) for p in options] for t in set(tones)}
 
-    # An entry is (score, words, parent's boundary rank, cut before this
-    # tone, parent's rank, prominent, window, automaton state, parent,
-    # boundary rank, rank); a candidate lacks the last two.  The window
-    # holds the last max_depth symbol indexes plus one as digits in base
-    # size + 1.  The first entry has read the turn opener and no tone.
+    # An entry is (score, words, boundary bits, prominence bits, window,
+    # automaton state).  The window holds the last max_depth symbol
+    # indexes plus one as digits in base size + 1.  The first entry has
+    # read the turn opener and no tone.
     turn_open = index(Marker.TURN_OPEN)
     state, lp = step(0, turn_open)
-    entries = [(lp, 0, 0, False, 0, False, (turn_open + 1) % modulus, state, None, 0, 0)]
+    entries = [(lp, 0, 0, 0, (turn_open + 1) % modulus, state)]
 
     for tone in tones:
         syms = tone_syms[tone]
         merged: dict = {}  # (window, prominent) -> best candidate
 
         def offer(candidate):
-            key = candidate[6] * 2 + candidate[5]
+            key = candidate[4] * 2 + (candidate[3] & 1)
             old = merged.get(key)
             if (
                 old is None
                 or candidate[0] > old[0]
-                or (candidate[0] == old[0] and candidate[1:6] < old[1:6])
+                or (candidate[0] == old[0] and candidate[1:4] < old[1:4])
             ):
                 merged[key] = candidate
 
-        for entry in entries:
-            score, words, _, _, _, prom, window, state, _, brank, rank = entry
+        for score, words, bits, pbits, window, state in entries:
+            bits <<= 1
             if words:
                 # continue the current word
-                a = syms[prom]
+                a = syms[pbits & 1]
                 target, lp = step(state, a)
-                offer((score + lp, words, brank, False, rank, prom,
-                       (window * base + a + 1) % modulus, target, entry))
+                offer((score + lp, words, bits, pbits,
+                       (window * base + a + 1) % modulus, target))
                 # or close it
                 state, lp = step(state, close)
                 score += lp
                 window = (window * base + close + 1) % modulus
             # open a new word
-            for new_prom in options:
-                opened, lp = step(state, opens[new_prom])
+            for prom in options:
+                opened, lp = step(state, opens[prom])
                 s1 = score + lp
-                w1 = (window * base + opens[new_prom] + 1) % modulus
-                a = syms[new_prom]
+                w1 = (window * base + opens[prom] + 1) % modulus
+                a = syms[prom]
                 target, lp = step(opened, a)
-                offer((s1 + lp, words + 1, brank, True, rank, new_prom,
-                       (w1 * base + a + 1) % modulus, target, entry))
+                offer((s1 + lp, words + 1, bits | 1, pbits << 1 | prom,
+                       (w1 * base + a + 1) % modulus, target))
+        entries = merged.values()
 
-        entries = []
-        brank = -1
-        last = None
-        for rank, candidate in enumerate(sorted(merged.values(), key=_rank_key)):
-            if candidate[2:4] != last:
-                last = candidate[2:4]
-                brank += 1
-            entries.append(candidate + (brank, rank))
-
-    best_key = None
-    for entry in entries:
-        score, words, _, _, _, _, _, state, _, brank, rank = entry
+    turn_close = index(Marker.TURN_CLOSE)
+    finals = []
+    for score, words, bits, pbits, _, state in entries:
         closed, lp = step(state, close)
-        s1 = score + lp
-        _, lp = step(closed, index(Marker.TURN_CLOSE))
-        key = (-(s1 + lp), words, brank, rank)
-        if best_key is None or key < best_key:
-            best_key, best = key, entry
-
-    bounds: list = []
-    proms: list = []
-    entry = best
-    while entry[8] is not None:
-        if entry[3]:
-            proms.append(entry[5])
-        bounds.append(entry[3])
-        entry = entry[8]
-    bounds.pop()  # the first tone opens the first word; no boundary precedes it
-    return SegmentationResult(
-        _spans_from_vectors(tuple(reversed(bounds)), tuple(reversed(proms))), -best_key[0]
-    )
+        score += lp
+        _, lp = step(closed, turn_close)
+        finals.append((-(score + lp), words, bits, pbits))
+    total, words, bits, pbits = min(finals)
+    # The first tone's bit is always a cut: no boundary precedes it.
+    bounds = tuple(c == "1" for c in format(bits, f"0{len(tones)}b")[1:])
+    proms = tuple(c == "1" for c in format(pbits, f"0{words}b"))
+    return SegmentationResult(_spans_from_vectors(bounds, proms), -total)
 
 
 def segment_corpus(

@@ -125,6 +125,16 @@ def test_negative_model_count_exit_2(tmp_path, capsys):
     assert "negative count" in capsys.readouterr().err
 
 
+def test_unknown_model_scheme_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    assert main(["train", "--scheme", "flat", "--corpus", str(corpus), "--out", str(model)]) == 0
+    model.write_text(model.read_text().replace("scheme flat", "scheme mystery"))
+    assert main(["entropy", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err.startswith("tonoseg: error: unknown scheme 'mystery' (known: ")
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     assert main(["train", "--corpus", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "m.txt")]) == 2
 

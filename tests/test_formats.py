@@ -12,6 +12,7 @@ from tonoseg.core import (
     PositionedError,
     UnknownToneError,
     encode_corpus,
+    scheme_ids,
 )
 from tonoseg.formats import (
     CorruptModelError,
@@ -217,8 +218,9 @@ def test_model_truncated_rejected():
 
 def test_model_unknown_scheme_rejected():
     text = save_model(tiny_grammar()).replace("scheme hierprom", "scheme mystery")
-    with pytest.raises(SchemeMismatchError):
+    with pytest.raises(SchemeMismatchError) as exc:
         load_model(text)
+    assert str(exc.value) == f"unknown scheme 'mystery' (known: {', '.join(scheme_ids())})"
 
 
 def test_model_expected_scheme_mismatch():
@@ -239,6 +241,24 @@ def test_model_corrupt_counts():
     lines[3] = lines[3].rsplit(" ", 1)[0] + " -1"
     with pytest.raises(CorruptModelError, match="negative count"):
         load_model("\n".join(lines) + "\n")
+
+
+def test_model_count_errors_name_line_and_tokens():
+    text = save_model(train(encode_corpus(random_corpus(random.Random(3), 4), HIERARCHICAL),
+                            HIERARCHICAL, TrainConfig(2, 1, 0.5)))
+    lines = text.splitlines()
+    lines[3] = lines[3].rsplit(" ", 1)[0] + " -1"  # the root's count of ")"
+    with pytest.raises(CorruptModelError) as exc:
+        load_model("\n".join(lines) + "\n")
+    assert str(exc.value) == "line 4: negative count for ')' in context '.'"
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines[3:], 3) if line.startswith(") ( "))
+    with pytest.raises(CorruptModelError) as exc:
+        load_model("\n".join(lines + [lines[k]]) + "\n")
+    assert str(exc.value) == f"line {len(lines) + 1}: duplicate context ') ('"
+    with pytest.raises(CorruptModelError) as exc:
+        load_model("\n".join(lines[:4] + [lines[k]]) + "\n")
+    assert str(exc.value).startswith("line 5: context ') (' lacks its suffix")
 
 
 def test_model_unknown_context_token():

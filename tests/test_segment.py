@@ -28,6 +28,7 @@ from tonoseg.segment import (
     SegmentationError,
     SegmentationResult,
     WordSpan,
+    _spans_from_vectors,
     brute_force_segment,
     enumerate_candidates,
     segment_corpus,
@@ -40,6 +41,7 @@ from helpers import TONES, random_corpus, random_planted
 H, U, S, T, D, L = Tone.HIGHER, Tone.UPSTEP, Tone.SAME, Tone.TOP, Tone.DOWNSTEP, Tone.LOWER
 
 GOLDEN = Path(__file__).parent / "fixtures" / "decoder_golden.json"
+TIE_CASES = Path(__file__).parent / "fixtures" / "tie_cases.json"
 
 # The planted cue grammar of demos/planted_example.json.
 CUE = {
@@ -131,21 +133,56 @@ def test_prominence_tie_prefers_plain():
 
 
 def test_boundary_tie_prefers_lexicographically_smallest():
-    # under a uniform grammar all two-word splits of a 3-tone stream
-    # score identically; (no cut, cut) precedes (cut, no cut)
-    g = train([], HIERARCHICAL, TrainConfig(2, 1, 0.5))
-    scored = {}
+    # Every depth-2 context the splits (H)(H H) and (H H)(H) read gives
+    # its symbol 5 of 10 counts, so both read the same log-probabilities
+    # in the same order and tie exactly.  "H H" makes a third H unlikely
+    # and a third word costs two more symbols, so the tie is the best.
+    def row(counts):
+        return " ".join(str(counts.get(str(s), 0)) for s in HIERARCHICAL.alphabet)
+
+    g = load_model("\n".join([
+        "tonoseg-model v1",
+        "scheme hier",
+        "config 2 1 0.1",
+        ". " + row({"[": 1}),
+        "[ " + row({"(": 1}),
+        "( " + row({"H": 1}),
+        "[ ( " + row({"H": 5, "T": 5}),
+        ") ( " + row({"H": 5, "T": 5}),
+        ") " + row({"(": 1}),
+        "H ) " + row({"(": 5, "]": 5}),
+        "H " + row({")": 1}),
+        "( H " + row({")": 5, "H": 5}),
+        "H H " + row({")": 5, "T": 5}),
+    ]) + "\n")
+    stream = [H, H, H]
+    scores = {}
     for bounds, proms in enumerate_candidates(3, HIERARCHICAL):
-        if sum(bounds) != 1:
-            continue
-        spans = []
-        start = 0
-        cuts = [i for i, b in enumerate(bounds, 1) if b] + [3]
-        for end in cuts:
-            spans.append(WordSpan(start, end, False))
-            start = end
-        scored[bounds] = g.sequence_log_probability(spans_to_symbols([H, S, T], spans, HIERARCHICAL))
-    assert scored[(False, True)] == scored[(True, False)]
+        spans = _spans_from_vectors(bounds, proms)
+        scores[bounds] = g.sequence_log_probability(spans_to_symbols(stream, spans, HIERARCHICAL))
+    assert scores[(False, True)] == scores[(True, False)] == max(scores.values())
+    result = segment_turn(g, stream, HIERARCHICAL)
+    assert result.boundary_slots() == (False, True)
+    assert result.log_prob == scores[(False, True)]
+    assert result == brute_force_segment(g, stream, HIERARCHICAL)
+
+
+def test_exact_ties_follow_the_oracle_key():
+    # Each case pins one tie rule, at merge time or in the final choice;
+    # with that rule reordered or dropped the decoder answers otherwise.
+    cases = json.loads(TIE_CASES.read_text())["cases"]
+    for case in cases:
+        g = load_model("\n".join(case["model"]) + "\n")
+        stream = [Tone(c) for c in case["stream"]]
+        scores = {}
+        for bounds, proms in enumerate_candidates(len(stream), HIERARCHY_PROMINENCE):
+            spans = _spans_from_vectors(bounds, proms)
+            symbols = spans_to_symbols(stream, spans, HIERARCHY_PROMINENCE)
+            scores[bounds, proms] = g.sequence_log_probability(symbols)
+        best = max(scores.values())
+        assert sum(score == best for score in scores.values()) == 2, case["rule"]
+        result = segment_turn(g, stream, HIERARCHY_PROMINENCE)
+        assert result == brute_force_segment(g, stream, HIERARCHY_PROMINENCE), case["rule"]
 
 
 def test_planted_cue_recovery_small():
