@@ -24,8 +24,6 @@ from .grammar import TrainConfig, marginal_entropy, model_entropy, train
 from .segment import segment_corpus
 from .synth import PlantedGrammar, sample_corpus
 
-SCHEME_CHOICES = scheme_ids()
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -123,11 +121,12 @@ def _build_parser() -> _Parser:
         description="Tone-sequence grammars and prosodic word boundary prediction.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    schemes = scheme_ids()  # read per parser, so schemes registered after import count
 
     def add_scheme(p):
         p.add_argument(
             "--scheme",
-            choices=SCHEME_CHOICES,
+            choices=schemes,
             default="hier",
             help="symbol encoding scheme (default: %(default)s)",
         )

@@ -9,7 +9,7 @@ line, each word bracketed and prominent words starred::
     ( U S ) *( T D )
 
 Model files open with ``tonoseg-model v1``, then the scheme id, the
-training configuration, and one line per trie node: the context
+training configuration, and one line per retained context: its
 symbols (``.`` for the root) followed by the successor counts in
 alphabet order.  Segmentation files carry one turn per line as
 ``start-end`` spans, ``*``-suffixed when prominent.

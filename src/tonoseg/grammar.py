@@ -1,10 +1,18 @@
 """Variable-length-context probabilistic grammar over symbol sequences.
 
-Frequent left contexts (up to a configurable depth) are stored in a
-suffix trie together with their successor counts; prediction finds the
-longest stored suffix of the history and applies add-lambda smoothing
-at that node.  Chain-rule sequence scores and entropy measures (with
-and without the grammar) are built on top.
+Frequent left contexts (up to a configurable depth) are stored with
+their successor counts; prediction finds the longest stored suffix of
+the history and applies add-lambda smoothing at that node.  Chain-rule
+sequence scores and entropy measures (with and without the grammar) are
+built on top.
+
+A context is stored under one integer key, whose digits in base
+``size + 1`` are its symbols' alphabet indexes plus one, the newest
+symbol lowest; the empty context (the root) is 0.  For a key of ``L``
+symbols, dropping the oldest symbol is ``key % base**(L - 1)``,
+dropping the newest is ``key // base`` and appending the symbol of
+index ``a`` is ``key * base + a + 1``.  The decoder's window
+(``segment.segment_turn``) is the key of the last ``max_depth`` symbols.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -46,36 +55,29 @@ class TrainConfig:
 
 
 class _Node:
-    __slots__ = ("counts", "children", "total")
+    __slots__ = ("counts", "total")
 
     def __init__(self):
         self.counts: dict = {}
-        self.children: dict = {}
         self.total = 0
 
-    def add(self, successor):
-        self.counts[successor] = self.counts.get(successor, 0) + 1
-        self.total += 1
 
-
-def _match(root: _Node, context: Sequence) -> _Node:
-    """Longest retained suffix of the context; the root always matches."""
-    node = root
-    n = len(context)
-    for j in range(n - 1, -1, -1):
-        nxt = node.children.get(context[j])
-        if nxt is None:
-            break
-        node = nxt
-    return node
+def _longest_suffix(keys, key: int, powers: Sequence[int]) -> int:
+    """Key of the longest suffix of context ``key`` in the suffix-closed
+    set ``keys``, which holds the root; ``powers[L]`` is ``base**L``."""
+    length = bisect_right(powers, key)  # the context's symbol count
+    while key not in keys:
+        length -= 1
+        key %= powers[length]
+    return key
 
 
 def _smoothed_log_prob(node: _Node, symbol, smoothing: float, size: int) -> float:
-    """ln P(symbol) under add-lambda smoothing at one trie node.
+    """ln P(symbol) under add-lambda smoothing at one context's node.
 
     The single place the smoothed arithmetic lives: ``log_prob``,
-    ``conditional`` and the transition table all call it, so their
-    scores agree bitwise.
+    ``conditional``, the chain-rule scores and the transition table all
+    call it, so their scores agree bitwise.
     """
     denom = node.total + smoothing * size
     if denom == 0:
@@ -87,7 +89,11 @@ def _smoothed_log_prob(node: _Node, symbol, smoothing: float, size: int) -> floa
 
 
 class PatternGrammar:
-    """Trained context trie bound to a scheme and a training config.
+    """Trained contexts bound to a scheme and a training config.
+
+    One dict maps each retained context's key (digits in base
+    ``size + 1``, each a symbol index plus one, newest symbol lowest, root
+    0) to its successor counts.  A retained context's suffixes are retained.
 
     The counts are immutable once trained.  The decoders score through a
     transition table (see ``transitions``) that the grammar owns and
@@ -103,10 +109,13 @@ class PatternGrammar:
     states and the same bitwise scores.
     """
 
-    def __init__(self, scheme: EncodingScheme, config: TrainConfig, root: _Node | None = None):
+    def __init__(self, scheme: EncodingScheme, config: TrainConfig):
         self.scheme = scheme
         self.config = config
-        self._root = root if root is not None else _Node()
+        self._nodes: dict[int, _Node] = {0: _Node()}
+        # Each symbol's digit in a context key, and base**L for L = 0..max_depth.
+        self._digits = {s: i + 1 for i, s in enumerate(scheme.alphabet)}
+        self._powers = [(scheme.size + 1) ** n for n in range(config.max_depth + 1)]
         self._transitions: _Transitions | None = None
 
     # -- structure ----------------------------------------------------
@@ -114,11 +123,11 @@ class PatternGrammar:
     @property
     def total_symbols(self) -> int:
         """Number of symbol positions seen in training (root tally)."""
-        return self._root.total
+        return self._nodes[0].total
 
     @property
     def node_count(self) -> int:
-        return sum(1 for _ in self.iter_counts())
+        return len(self._nodes)
 
     def iter_counts(self) -> Iterator[tuple[tuple, dict]]:
         """Yield (context, successor-counts) per retained node.
@@ -126,14 +135,18 @@ class PatternGrammar:
         Contexts are in chronological order (oldest symbol first) and the
         iteration order is deterministic: depth first by alphabet rank.
         """
-        order = {s: i for i, s in enumerate(self.scheme.alphabet)}
-
-        def walk(node, context):
-            yield context, node.counts
-            for sym in sorted(node.children, key=order.__getitem__):
-                yield from walk(node.children[sym], (sym,) + context)
-
-        yield from walk(self._root, ())
+        alphabet, nodes, powers = self.scheme.alphabet, self._nodes, self._powers
+        stack = [((), 0)]
+        while stack:
+            context, key = stack.pop()
+            yield context, nodes[key].counts
+            if len(context) < self.config.max_depth:
+                # Children add an older symbol, as the highest digit; they
+                # are pushed in reverse alphabet order.
+                scale = powers[len(context)]
+                for child in range(key + len(alphabet) * scale, key, -scale):
+                    if child in nodes:
+                        stack.append(((alphabet[child // scale - 1],) + context, child))
 
     @classmethod
     def from_counts(
@@ -147,31 +160,32 @@ class PatternGrammar:
         Every non-root context's one-shorter suffix must already be
         present (suffix closure); violations raise ``TonosegError``.
         """
-        root = _Node()
-        allowed = set(scheme.alphabet)
+        grammar = cls(scheme, config)
+        nodes, digits, powers = grammar._nodes, grammar._digits, grammar._powers
         for context, counts in items:
             if len(context) > config.max_depth:
                 raise TonosegError(
                     f"context {context_text(context)!r} longer than max_depth={config.max_depth}"
                 )
-            node = root
+            # Newest symbol first: each step's key is a longer suffix.
+            key = 0
             for depth, sym in enumerate(reversed(tuple(context))):
-                if sym not in allowed:
+                digit = digits.get(sym)
+                if digit is None:
                     raise AlphabetError(f"context symbol {sym!r} not in scheme alphabet")
-                child = node.children.get(sym)
-                if child is None:
-                    if depth != len(context) - 1:
-                        raise TonosegError(
-                            f"context {context_text(context)!r} lacks its suffix; "
-                            "trie not suffix-closed"
-                        )
-                    child = _Node()
-                    node.children[sym] = child
-                node = child
-            if node.counts:
+                key += digit * powers[depth]
+                if depth != len(context) - 1 and key not in nodes:
+                    raise TonosegError(
+                        f"context {context_text(context)!r} lacks its suffix; "
+                        "trie not suffix-closed"
+                    )
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = _Node()
+            elif node.counts:
                 raise TonosegError(f"duplicate context {context_text(context)!r}")
             for sym, c in counts.items():
-                if sym not in allowed:
+                if sym not in digits:
                     raise AlphabetError(f"successor {sym!r} not in scheme alphabet")
                 if c < 0:
                     raise TonosegError(
@@ -180,9 +194,23 @@ class PatternGrammar:
                 if c:
                     node.counts[sym] = c
                     node.total += c
-        return cls(scheme, config, root)
+        return grammar
 
     # -- prediction ---------------------------------------------------
+
+    def _match(self, context: Sequence) -> _Node:
+        """Node of the longest retained suffix of the context.
+
+        Only the last ``max_depth`` symbols count, and none older than
+        the newest one outside the alphabet; the root always matches.
+        """
+        key = 0
+        for depth in range(min(len(context), self.config.max_depth)):
+            digit = self._digits.get(context[-1 - depth])
+            if digit is None:
+                break
+            key += digit * self._powers[depth]
+        return self._nodes[_longest_suffix(self._nodes, key, self._powers)]
 
     def conditional(self, context: Sequence) -> tuple[float, ...]:
         """Smoothed successor distribution over the alphabet, in order.
@@ -190,7 +218,7 @@ class PatternGrammar:
         Only the last ``max_depth`` context symbols can matter.  With a
         positive smoothing constant the result is strictly positive.
         """
-        node = _match(self._root, context)
+        node = self._match(context)
         lam, size = self.config.smoothing, self.scheme.size
         return tuple(
             math.exp(_smoothed_log_prob(node, sym, lam, size)) for sym in self.scheme.alphabet
@@ -201,8 +229,25 @@ class PatternGrammar:
         if symbol not in self.scheme:
             raise AlphabetError(f"symbol {symbol!r} not in scheme alphabet")
         return _smoothed_log_prob(
-            _match(self._root, context), symbol, self.config.smoothing, self.scheme.size
+            self._match(context), symbol, self.config.smoothing, self.scheme.size
         )
+
+    def _log_probs(self, symbols: Sequence) -> Iterator[float]:
+        """``log_prob`` of each symbol given the symbols before it, in order.
+
+        The history is a rolling key of the last ``max_depth`` symbols,
+        so no context is sliced or re-encoded.
+        """
+        nodes, digits, powers = self._nodes, self._digits, self._powers
+        lam, size = self.config.smoothing, self.scheme.size
+        depth = self.config.max_depth
+        window = 0
+        for sym in symbols:
+            digit = digits.get(sym)
+            if digit is None:
+                raise AlphabetError(f"symbol {sym!r} not in scheme alphabet")
+            yield _smoothed_log_prob(nodes[_longest_suffix(nodes, window, powers)], sym, lam, size)
+            window = (window * (size + 1) + digit) % powers[depth]
 
     def transitions(self) -> "_Transitions":
         """The grammar's context automaton, created on first use."""
@@ -222,8 +267,7 @@ class PatternGrammar:
         transition meets zero smoothing.
         """
         total = 0.0
-        for i in range(len(symbols)):
-            lp = self.log_prob(symbols[i], symbols[max(0, i - self.config.max_depth) : i])
+        for lp in self._log_probs(symbols):
             if lp == -math.inf:
                 return -math.inf
             total += lp
@@ -236,82 +280,70 @@ class _Transitions:
     This is the prediction-suffix-tree-to-automaton construction of Ron,
     Singer & Tishby ("The Power of Amnesia", 1996).  The states are the
     retained contexts closed under prefixes; the state of a history is
-    its longest suffix among them, state 0 being the empty context.  The
-    state of a history extended by one symbol is the longest such suffix
-    of (state + symbol), and the longest retained suffix of a history,
-    which ``log_prob`` scores at, is a suffix of its state.  So one row per
-    state gives every score.  The closure matters: with the context
-    ``H L`` retained but ``H`` pruned, the state after ``H`` must
-    remember the ``H``.
+    its longest suffix among them.  The state of a history extended by
+    one symbol is the longest such suffix of (state + symbol), and the
+    longest retained suffix of a history, which ``log_prob`` scores at,
+    is that of its state.  So one row per state gives every score.  The
+    closure matters: with the context ``H L`` retained but ``H`` pruned,
+    the state after ``H`` must remember the ``H``.  Trained grammars are
+    closed under prefixes (a context's prefix occurs wherever the context
+    does, one position earlier); ``from_counts`` accepts ones that are not.
 
+    States are numbered as transitions first reach them, state 0 being
+    the root; ``_keys[s]`` is state ``s``'s context key.
     ``next[s * size + a]`` is the state after symbol index ``a`` from
     state ``s`` (-1 until filled) and ``lp[s * size + a]`` its ln P.
-    The flat arrays hold no Python object per transition; states and
-    their rows are added as transitions first reach them.
     """
 
     def __init__(self, grammar: PatternGrammar):
         # No reference back to the grammar: without a cycle, dropping the
-        # grammar frees its trie and table at once, not at the next
+        # grammar frees its nodes and table at once, not at the next
         # collection of the garbage collector's oldest generation.
         self.size = grammar.scheme.size
         self.next = array("i")
         self.lp = array("d")
         self._alphabet = grammar.scheme.alphabet
         self._smoothing = grammar.config.smoothing
-        self._root = grammar._root
-        self._contexts: list[tuple] = []
-        self._nodes: list[_Node] = []
-        self._ids: dict[tuple, int] = {}
-        self._unretained_prefixes = _unretained_prefixes(grammar._root)
+        self._powers = powers = grammar._powers
+        # The prefix closure, each key mapped to the node its state scores
+        # at: its longest retained suffix.
+        nodes, missing = grammar._nodes, {}
+        for key in nodes:
+            key //= self.size + 1
+            while key not in nodes and key not in missing:
+                missing[key] = nodes[_longest_suffix(nodes, key, powers)]
+                key //= self.size + 1
+        self._closure = {**nodes, **missing} if missing else nodes
+        self._keys: list[int] = []
+        self._ids: dict[int, int] = {}
         self._blank_next = array("i", [-1]) * self.size
         self._blank_lp = array("d", [0.0]) * self.size
-        self._add((), grammar._root)
+        self._state(0)
 
-    def _add(self, context: tuple, node: _Node) -> int:
-        state = len(self._contexts)
-        self._contexts.append(context)
-        self._nodes.append(node)
-        self._ids[context] = state
-        self.next.extend(self._blank_next)
-        self.lp.extend(self._blank_lp)
+    def _state(self, key: int) -> int:
+        """Id of a closure key's state, numbering it if it is new."""
+        state = self._ids.get(key)
+        if state is None:
+            state = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            self.next.extend(self._blank_next)
+            self.lp.extend(self._blank_lp)
         return state
-
-    def _state(self, context: tuple) -> int | None:
-        """Id of a context in the prefix closure, or None when outside it."""
-        state = self._ids.get(context)
-        if state is not None:
-            return state
-        if context in self._unretained_prefixes:
-            return self._add(context, _match(self._root, context))
-        node = self._root
-        for sym in reversed(context):
-            node = node.children.get(sym)
-            if node is None:
-                return None
-        return self._add(context, node)
 
     def fill(self, k: int) -> int:
         """Compute entry ``k`` if no thread has yet; return its next state."""
         with _TABLE_LOCK:
-            return self._fill(k)
-
-    def _fill(self, k: int) -> int:
-        target = self.next[k]
-        if target < 0:
-            state, a = divmod(k, self.size)
-            context = self._contexts[state]
-            symbol = self._alphabet[a]
-            target = self._state(context + (symbol,))
-            if target is None and context:
-                # The closure is also suffix-closed, so context[1:] is a
-                # state, and its successor is the longest suffix wanted.
-                target = self._fill(self._state(context[1:]) * self.size + a)
-            elif target is None:
-                target = 0
-            self.lp[k] = _smoothed_log_prob(self._nodes[state], symbol, self._smoothing, self.size)
-            self.next[k] = target
-        return target
+            target = self.next[k]
+            if target < 0:
+                state, a = divmod(k, self.size)
+                key = self._keys[state]
+                longer = (key * (self.size + 1) + a + 1) % self._powers[-1]
+                target = self._state(_longest_suffix(self._closure, longer, self._powers))
+                self.lp[k] = _smoothed_log_prob(
+                    self._closure[key], self._alphabet[a], self._smoothing, self.size
+                )
+                self.next[k] = target
+            return target
 
     def step(self, state: int, a: int) -> tuple[int, float]:
         """(next state, ln P) for symbol index ``a`` read in ``state``."""
@@ -320,33 +352,6 @@ class _Transitions:
         if target < 0:
             target = self.fill(k)
         return target, self.lp[k]
-
-
-def _unretained_prefixes(root: _Node) -> set:
-    """A superset of the proper prefixes of retained contexts that are
-    not themselves retained.
-
-    Trained tries have none (a context's prefix occurs wherever the
-    context does, one position earlier); ``from_counts`` accepts tries
-    that do.  The node of ``c[:-1]`` is the child, on ``c``'s oldest
-    symbol, of the node of ``c[1:-1]``, so one walk finds every context
-    whose prefix is missing.  For such a context all its proper prefixes
-    go in, so the set may also hold retained ones (``(a,)`` when ``(a, b)``
-    is missing); ``_Transitions._state`` matches those to their own node.
-    """
-    out: set = set()
-    # (node, its context, node of context[:-1] or None)
-    stack = [(child, (sym,), root) for sym, child in root.children.items()]
-    while stack:
-        node, context, prefix = stack.pop()
-        for sym, child in node.children.items():
-            child_prefix = prefix.children.get(sym) if prefix is not None else None
-            if child_prefix is None:
-                child_context = (sym,) + context
-                out.update(child_context[:j] for j in range(1, len(child_context)))
-            if child.children:
-                stack.append((child, (sym,) + context, child_prefix))
-    return out
 
 
 def train(
@@ -359,43 +364,32 @@ def train(
     For every position the successor is counted under all context
     suffixes up to ``max_depth`` symbols long (never reaching across the
     start of the sequence).  Contexts observed fewer than ``min_count``
-    times are removed; removal takes the whole subtree with it, so the
-    trie stays suffix-closed.
+    times are removed.  A context is never observed more often than its
+    one-shorter suffix, so the retained set stays suffix-closed.
     """
-    if config is None:
-        config = TrainConfig()
-    root = _Node()
-    depth = config.max_depth
-    allowed = {s: None for s in scheme.alphabet}
+    grammar = PatternGrammar(scheme, config or TrainConfig())
+    nodes, digits, powers = grammar._nodes, grammar._digits, grammar._powers
+    depth, base = grammar.config.max_depth, scheme.size + 1
     for si, seq in enumerate(sequences):
+        window = 0  # key of the last max_depth symbols
         for pos, successor in enumerate(seq):
-            if successor not in allowed:
+            digit = digits.get(successor)
+            if digit is None:
                 raise AlphabetError(
                     f"sequence {si}, position {pos}: symbol {successor!r} "
                     f"not in alphabet of scheme {scheme.scheme_id!r}"
                 )
-            node = root
-            node.add(successor)
-            for back in range(1, min(pos, depth) + 1):
-                sym = seq[pos - back]
-                child = node.children.get(sym)
-                if child is None:
-                    child = _Node()
-                    node.children[sym] = child
-                node = child
-                node.add(successor)
-
-    def prune(node):
-        node.children = {
-            sym: child
-            for sym, child in node.children.items()
-            if child.total >= config.min_count
-        }
-        for child in node.children.values():
-            prune(child)
-
-    prune(root)
-    return PatternGrammar(scheme, config, root)
+            for length in range(min(pos, depth) + 1):
+                key = window % powers[length]
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = _Node()
+                node.counts[successor] = node.counts.get(successor, 0) + 1
+                node.total += 1
+            window = (window * base + digit) % powers[depth]
+    min_count = grammar.config.min_count
+    grammar._nodes = {k: node for k, node in nodes.items() if k == 0 or node.total >= min_count}
+    return grammar
 
 
 def marginal_entropy(sequences: Iterable[Sequence], n_categories: int) -> tuple[float, float]:
@@ -438,12 +432,10 @@ def model_entropy(
         n_categories = grammar.scheme.size
     if n_categories < 2:
         raise ValueError(f"n_categories must be >= 2, got {n_categories}")
-    depth = grammar.config.max_depth
     total = 0.0
     positions = 0
     for si, seq in enumerate(sequences):
-        for i in range(len(seq)):
-            lp = grammar.log_prob(seq[i], seq[max(0, i - depth) : i])
+        for i, lp in enumerate(grammar._log_probs(seq)):
             if lp == -math.inf:
                 raise TonosegError(
                     f"sequence {si}, position {i}: unseen transition with zero smoothing"

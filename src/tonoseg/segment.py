@@ -9,8 +9,9 @@ tested against.  Both score through the grammar's transition table
 (``PatternGrammar.transitions``).
 
 ``segment_turn`` is a Viterbi pass.  After each tone it keeps one
-entry per merge state: the last ``max_depth`` symbols (the window, one
-integer in base ``size + 1``) and the current word's prominence.
+entry per merge state: the last ``max_depth`` symbols (the window: the
+grammar's context key of those symbols, one integer in base
+``size + 1``) and the current word's prominence.
 Predictions depend on at most ``max_depth`` preceding symbols, so two
 partial candidates in the same merge state score every continuation
 alike and only the better one is kept.  The number of merge states
@@ -205,9 +206,9 @@ def segment_turn(
     tone_syms = {t: [index(scheme.tone_symbol(t, p)) for p in options] for t in set(tones)}
 
     # An entry is (score, words, boundary bits, prominence bits, window,
-    # automaton state).  The window holds the last max_depth symbol
-    # indexes plus one as digits in base size + 1.  The first entry has
-    # read the turn opener and no tone.
+    # automaton state).  The window is the grammar's context key of the
+    # last max_depth symbols.  The first entry has read the turn opener
+    # and no tone.
     turn_open = index(Marker.TURN_OPEN)
     state, lp = step(0, turn_open)
     entries = [(lp, 0, 0, 0, (turn_open + 1) % modulus, state)]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tonoseg import core
 from tonoseg.cli import main
 
 PLANTED_SPEC = {
@@ -123,6 +124,20 @@ def test_negative_model_count_exit_2(tmp_path, capsys):
     model.write_text("\n".join(lines) + "\n")
     assert main(["entropy", "--model", str(model), "--corpus", str(corpus)]) == 2
     assert "negative count" in capsys.readouterr().err
+
+
+def test_scheme_choices_follow_the_registry(tmp_path, monkeypatch, capsys):
+    # --scheme choices are read when the parser is built, not at import.
+    monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    assert main(["encode", "--scheme", "toy-flat", "--corpus", str(corpus)]) == 1
+    core.register_scheme(core.EncodingScheme("toy-flat", core.FLAT.alphabet))
+    capsys.readouterr()
+    assert main(["encode", "--scheme", "toy-flat", "--corpus", str(corpus)]) == 0
+    toy = capsys.readouterr().out
+    assert main(["encode", "--scheme", "flat", "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().out == toy
 
 
 def test_unknown_model_scheme_exit_2(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tonoseg import core
 from tonoseg.core import (
     FLAT,
     HIERARCHICAL,
@@ -80,7 +81,9 @@ def test_alphabets_tones_first_no_duplicates():
             assert scheme.index(sym) == i
 
 
-def test_registry():
+def test_registry(monkeypatch):
+    # A copy of the registry, restored after the test, takes the new scheme.
+    monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))
     assert get_scheme("hier") is HIERARCHICAL
     with pytest.raises(KeyError):
         get_scheme("nope")

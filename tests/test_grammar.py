@@ -1,11 +1,21 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tonoseg.core import HIERARCHICAL, AlphabetError, EncodingScheme, TonosegError, encode_corpus
+from tonoseg.core import (
+    HIERARCHICAL,
+    AlphabetError,
+    EncodingScheme,
+    TonosegError,
+    encode_corpus,
+    get_scheme,
+)
+from tonoseg.formats import parse_corpus, save_model
 from tonoseg.grammar import (
     PatternGrammar,
     TrainConfig,
@@ -15,6 +25,8 @@ from tonoseg.grammar import (
     train,
 )
 from helpers import random_corpus
+
+MODEL_GOLDEN = Path(__file__).parent / "fixtures" / "model_golden.json"
 
 TOY2 = EncodingScheme("toy2", ("A", "B"))
 TOY3 = EncodingScheme("toy3", ("A", "B", "C"))
@@ -297,3 +309,16 @@ def test_from_counts_rejects_broken_tries():
             PatternGrammar.from_counts(TOY2, g.config, broken)
     with pytest.raises(TonosegError):
         PatternGrammar.from_counts(TOY2, g.config, items + [((), {"A": 1})])
+
+
+def test_model_golden():
+    # Pinned model files (written by make_model_golden.py): retraining
+    # must reproduce every file byte for byte, one retained context per row.
+    cases = json.loads(MODEL_GOLDEN.read_text())["cases"]
+    for case in cases:
+        scheme = get_scheme(case["scheme"])
+        corpus = parse_corpus(case["corpus"])
+        g = train(encode_corpus(corpus, scheme), scheme, TrainConfig(*case["config"]))
+        assert save_model(g) == case["model"]
+        assert g.node_count == case["model"].count("\n") - 3
+    assert len(cases) == 36

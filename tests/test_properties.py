@@ -1,11 +1,13 @@
-"""Property tests of the decoder and the transition table.
+"""Property tests of the decoder, the transition table and the chain rule.
 
-The decoder must equal the brute-force oracle (spans and bitwise score)
-and the table must reproduce ``log_prob`` bitwise, on trained grammars
-and on hand-built ones whose tries need not be closed under prefixes.
-Runs are derandomized so the suite repeats exactly.
+The decoder must equal the brute-force oracle (spans and bitwise score),
+and the table and the chain-rule scores must reproduce ``log_prob``
+bitwise, on trained grammars and on hand-built ones whose contexts need
+not be closed under prefixes.  Runs are derandomized so the suite
+repeats exactly.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -16,9 +18,10 @@ from tonoseg.core import (
     HIERARCHY_PROMINENCE,
     HIERARCHY_PROMINENCE_TONES,
     Marker,
+    ProminentTone,
     encode_corpus,
 )
-from tonoseg.grammar import PatternGrammar, TrainConfig, train
+from tonoseg.grammar import PatternGrammar, TrainConfig, model_entropy, train
 from tonoseg.segment import brute_force_segment, segment_turn
 from helpers import TONES, random_corpus
 
@@ -88,6 +91,16 @@ def tone_blind_grammars(draw):
 grammars = st.one_of(trained_grammars(), hand_built_grammars())
 
 
+def symbol_lists(grammar, data, max_pieces=12):
+    """Alphabet symbols and retained contexts, concatenated, so that
+    histories reach the deep contexts."""
+    pieces = st.one_of(
+        st.sampled_from(grammar.scheme.alphabet).map(lambda sym: (sym,)),
+        st.sampled_from([context for context, _ in grammar.iter_counts()]),
+    )
+    return [sym for piece in data.draw(st.lists(pieces, max_size=max_pieces)) for sym in piece]
+
+
 @PROPERTY
 @given(grammars, st.lists(st.sampled_from(TONES), min_size=1, max_size=8))
 def test_decoder_equals_oracle(grammar, stream):
@@ -107,11 +120,7 @@ def test_decoder_breaks_ties_like_oracle(grammar, stream):
 def test_table_scores_equal_log_prob(grammar, data):
     # Sequences built from retained contexts reach the deep states.
     scheme = grammar.scheme
-    pieces = st.one_of(
-        st.sampled_from(scheme.alphabet).map(lambda sym: (sym,)),
-        st.sampled_from([context for context, _ in grammar.iter_counts()]),
-    )
-    seq = [sym for piece in data.draw(st.lists(pieces, max_size=12)) for sym in piece]
+    seq = symbol_lists(grammar, data)
     table = grammar.transitions()
     state, total = 0, 0.0
     for i, sym in enumerate(seq):
@@ -119,3 +128,47 @@ def test_table_scores_equal_log_prob(grammar, data):
         assert lp == grammar.log_prob(sym, seq[:i])
         total += lp
     assert total == grammar.sequence_log_probability(seq)
+
+
+@PROPERTY
+@given(grammars, st.data())
+def test_chain_scores_equal_log_prob(grammar, data):
+    # sequence_log_probability and model_entropy roll one context key
+    # along the sequence; log_prob builds each context's key afresh.
+    depth = grammar.config.max_depth
+    seqs = [symbol_lists(grammar, data) for _ in range(data.draw(st.integers(1, 3)))]
+    neg_total, positions = 0.0, 0
+    for seq in seqs:
+        total = 0.0
+        for i, sym in enumerate(seq):
+            lp = grammar.log_prob(sym, seq[max(0, i - depth) : i])
+            total += lp
+            neg_total -= lp
+            positions += 1
+        assert grammar.sequence_log_probability(seq).hex() == total.hex()
+    if positions:
+        h = neg_total / positions
+        assert model_entropy(grammar, seqs) == (h, h / math.log(grammar.scheme.size))
+
+
+FOREIGN = ("?", Marker.PROM_WORD_OPEN, ProminentTone.TOP, Marker.WORD_OPEN)
+
+
+@PROPERTY
+@given(grammars, st.data())
+def test_context_is_cut_at_foreign_symbol_and_depth(grammar, data):
+    # Only the last max_depth symbols count, and none older than the
+    # newest symbol outside the alphabet.
+    scheme, depth = grammar.scheme, grammar.config.max_depth
+    context = symbol_lists(grammar, data, max_pieces=4)
+    foreign = [sym for sym in FOREIGN if sym not in scheme]
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(context)))
+        context.insert(j, data.draw(st.sampled_from(foreign)))
+        cut = context[j + 1 :]
+    else:
+        cut = context
+    cut = cut[len(cut) - min(len(cut), depth) :]
+    sym = data.draw(st.sampled_from(scheme.alphabet))
+    assert grammar.log_prob(sym, context) == grammar.log_prob(sym, cut)
+    assert grammar.conditional(context) == grammar.conditional(cut)
