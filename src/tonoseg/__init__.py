@@ -70,6 +70,7 @@ from .evaluate import (
 )
 from .synth import (
     PlantedGrammar,
+    SpecError,
     UnreachableContextError,
     planted_conditional,
     prefix_probability,

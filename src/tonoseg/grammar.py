@@ -18,18 +18,12 @@ index ``a`` is ``key * base + a + 1``.  The decoder's window
 from __future__ import annotations
 
 import math
-import threading
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import AlphabetError, EncodingScheme, TonosegError, context_text
 
-# Guards the creation and filling of every grammar's transition table.
-# One lock for the module, not one per grammar, so grammars stay plain
-# data that pickle and deepcopy accept.
-_TABLE_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -50,8 +44,8 @@ class TrainConfig:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
-        if self.smoothing < 0:
-            raise ValueError(f"smoothing must be >= 0, got {self.smoothing}")
+        if not (math.isfinite(self.smoothing) and self.smoothing >= 0):
+            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
 
 
 class _Node:
@@ -101,12 +95,11 @@ class PatternGrammar:
     the grammar across calls.  ``log_prob``, ``conditional`` and the
     entropy functions never touch it.
 
-    Queries are safe from any number of threads.  The table is created,
-    and each entry filled, under one module-wide lock; an entry is written
-    once, its log-probability before its next state, and never changes
-    afterwards.  A reader that sees a next state of -1 takes the lock and
-    fills (or finds filled) the entry, so every thread sees the same
-    states and the same bitwise scores.
+    Queries are safe from any number of threads without a lock.  A
+    table entry is a pure function of the counts and its state is a
+    context key, not a fill order, so threads that build the table or
+    an entry at once build equal ones, and whichever is stored gives
+    every thread the same states and the same bitwise scores.
     """
 
     def __init__(self, scheme: EncodingScheme, config: TrainConfig):
@@ -251,13 +244,9 @@ class PatternGrammar:
 
     def transitions(self) -> "_Transitions":
         """The grammar's context automaton, created on first use."""
-        table = self._transitions
-        if table is None:
-            with _TABLE_LOCK:
-                if self._transitions is None:
-                    self._transitions = _Transitions(self)
-                table = self._transitions
-        return table
+        if self._transitions is None:
+            self._transitions = _Transitions(self)
+        return self._transitions
 
     def sequence_log_probability(self, symbols: Sequence) -> float:
         """Natural-log chain-rule probability of one symbol sequence.
@@ -289,10 +278,11 @@ class _Transitions:
     closed under prefixes (a context's prefix occurs wherever the context
     does, one position earlier); ``from_counts`` accepts ones that are not.
 
-    States are numbered as transitions first reach them, state 0 being
-    the root; ``_keys[s]`` is state ``s``'s context key.
-    ``next[s * size + a]`` is the state after symbol index ``a`` from
-    state ``s`` (-1 until filled) and ``lp[s * size + a]`` its ln P.
+    A state is its context's key, the root 0.  ``step`` computes the
+    entry of state ``s`` and symbol index ``a`` on first use and stores
+    it whole, as ``(next state, ln P)`` under ``s * size + a``.  An entry
+    is a pure function of the immutable counts, stored as one finished
+    tuple, so threads that race on it store equal tuples and need no lock.
     """
 
     def __init__(self, grammar: PatternGrammar):
@@ -300,8 +290,6 @@ class _Transitions:
         # grammar frees its nodes and table at once, not at the next
         # collection of the garbage collector's oldest generation.
         self.size = grammar.scheme.size
-        self.next = array("i")
-        self.lp = array("d")
         self._alphabet = grammar.scheme.alphabet
         self._smoothing = grammar.config.smoothing
         self._powers = powers = grammar._powers
@@ -314,44 +302,21 @@ class _Transitions:
                 missing[key] = nodes[_longest_suffix(nodes, key, powers)]
                 key //= self.size + 1
         self._closure = {**nodes, **missing} if missing else nodes
-        self._keys: list[int] = []
-        self._ids: dict[int, int] = {}
-        self._blank_next = array("i", [-1]) * self.size
-        self._blank_lp = array("d", [0.0]) * self.size
-        self._state(0)
-
-    def _state(self, key: int) -> int:
-        """Id of a closure key's state, numbering it if it is new."""
-        state = self._ids.get(key)
-        if state is None:
-            state = self._ids[key] = len(self._keys)
-            self._keys.append(key)
-            self.next.extend(self._blank_next)
-            self.lp.extend(self._blank_lp)
-        return state
-
-    def fill(self, k: int) -> int:
-        """Compute entry ``k`` if no thread has yet; return its next state."""
-        with _TABLE_LOCK:
-            target = self.next[k]
-            if target < 0:
-                state, a = divmod(k, self.size)
-                key = self._keys[state]
-                longer = (key * (self.size + 1) + a + 1) % self._powers[-1]
-                target = self._state(_longest_suffix(self._closure, longer, self._powers))
-                self.lp[k] = _smoothed_log_prob(
-                    self._closure[key], self._alphabet[a], self._smoothing, self.size
-                )
-                self.next[k] = target
-            return target
+        self._entries: dict[int, tuple[int, float]] = {}
 
     def step(self, state: int, a: int) -> tuple[int, float]:
         """(next state, ln P) for symbol index ``a`` read in ``state``."""
         k = state * self.size + a
-        target = self.next[k]
-        if target < 0:
-            target = self.fill(k)
-        return target, self.lp[k]
+        entry = self._entries.get(k)
+        if entry is None:
+            longer = (state * (self.size + 1) + a + 1) % self._powers[-1]
+            entry = self._entries[k] = (
+                _longest_suffix(self._closure, longer, self._powers),
+                _smoothed_log_prob(
+                    self._closure[state], self._alphabet[a], self._smoothing, self.size
+                ),
+            )
+        return entry
 
 
 def train(

@@ -34,14 +34,18 @@ class UnreachableContextError(TonosegError):
     """The prefix has probability zero under the planted process."""
 
 
+class SpecError(TonosegError, ValueError):
+    """A planted-grammar spec is malformed or not a valid process."""
+
+
 def _check_dist(name, dist):
     if not dist:
-        raise ValueError(f"{name}: empty support")
+        raise SpecError(f"{name}: empty support")
     if any(p < 0 for _, p in dist):
-        raise ValueError(f"{name}: negative probability")
+        raise SpecError(f"{name}: negative probability")
     s = sum(p for _, p in dist)
     if abs(s - 1.0) > 1e-9:
-        raise ValueError(f"{name}: probabilities sum to {s}, not 1")
+        raise SpecError(f"{name}: probabilities sum to {s}, not 1")
 
 
 @dataclass(frozen=True)
@@ -78,29 +82,43 @@ class PlantedGrammar:
         _check_dist("final_tones", self.final_tones)
         _check_dist("turn_lengths", self.turn_lengths)
         if any(length < 1 for length, _ in self.word_lengths):
-            raise ValueError("word lengths must be >= 1")
+            raise SpecError("word lengths must be >= 1")
         if any(length < 1 for length, _ in self.turn_lengths):
-            raise ValueError("turn lengths must be >= 1")
+            raise SpecError("turn lengths must be >= 1")
         if not 0.0 <= self.prominence <= 1.0:
-            raise ValueError(f"prominence must be in [0, 1], got {self.prominence}")
+            raise SpecError(f"prominence must be in [0, 1], got {self.prominence}")
 
     # -- (de)serialization ---------------------------------------------
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PlantedGrammar":
-        def lengths(key):
-            return tuple((int(k), float(v)) for k, v in data[key].items())
+        """Read a spec document: four distributions as objects of
+        value-to-probability entries, and optional prominence and seed."""
+        if not isinstance(data, dict):
+            raise SpecError(f"spec must be a JSON object, got {type(data).__name__}")
 
-        def tones(key):
-            return tuple((Tone.from_letter(k), float(v)) for k, v in data[key].items())
+        def read(key, parse, default=None):
+            if key not in data and default is None:
+                raise SpecError(f"spec lacks the key {key!r}")
+            value = data.get(key, default)
+            try:
+                return parse(value)
+            except (AttributeError, TypeError, ValueError, TonosegError) as err:
+                raise SpecError(f"spec key {key!r}: {err}") from None
+
+        def lengths(dist):
+            return tuple((int(k), float(v)) for k, v in dist.items())
+
+        def tones(dist):
+            return tuple((Tone.from_letter(k), float(v)) for k, v in dist.items())
 
         return cls(
-            word_lengths=lengths("word_lengths"),
-            interior_tones=tones("interior_tones"),
-            final_tones=tones("final_tones"),
-            turn_lengths=lengths("turn_lengths"),
-            prominence=float(data.get("prominence", 0.0)),
-            seed=int(data.get("seed", 0)),
+            word_lengths=read("word_lengths", lengths),
+            interior_tones=read("interior_tones", tones),
+            final_tones=read("final_tones", tones),
+            turn_lengths=read("turn_lengths", lengths),
+            prominence=read("prominence", float, 0.0),
+            seed=read("seed", int, 0),
         )
 
     def to_mapping(self) -> dict:

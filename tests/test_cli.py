@@ -126,6 +126,50 @@ def test_negative_model_count_exit_2(tmp_path, capsys):
     assert "negative count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_smoothing_exit_2(tmp_path, capsys, value):
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    argv = ["train", "--corpus", str(corpus), "--out", str(model), "--smoothing", value]
+    assert main(argv) == 2
+    assert f"smoothing must be finite and >= 0, got {value}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_non_finite_model_smoothing_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    assert main(["train", "--scheme", "flat", "--corpus", str(corpus), "--out", str(model)]) == 0
+    model.write_text(model.read_text().replace("config 4 2 0.5", "config 4 2 nan"))
+    seg = tmp_path / "seg.txt"
+    assert main(["entropy", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert main(["segment", "--model", str(model), "--input", str(corpus), "--out", str(seg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("bad config values: smoothing must be finite") == 2
+    assert not seg.exists()
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([1, 2], "spec must be a JSON object, got list"),
+        ("cue", "spec must be a JSON object, got str"),
+        ({"word_lengths": {"1": 1.0}}, "spec lacks the key 'interior_tones'"),
+        ({**PLANTED_SPEC, "final_tones": ["L"]}, "spec key 'final_tones': "),
+        ({**PLANTED_SPEC, "seed": [7]}, "spec key 'seed': "),
+    ],
+)
+def test_malformed_spec_exit_2(tmp_path, capsys, document, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(document))
+    out = tmp_path / "corpus.txt"
+    assert main(["synth", "--spec", str(spec), "--words", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"tonoseg: error: {message}")
+    assert not out.exists()
+
+
 def test_scheme_choices_follow_the_registry(tmp_path, monkeypatch, capsys):
     # --scheme choices are read when the parser is built, not at import.
     monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))

@@ -46,8 +46,9 @@ def test_train_config_defaults_and_validation():
         TrainConfig(max_depth=-1)
     with pytest.raises(ValueError):
         TrainConfig(min_count=0)
-    with pytest.raises(ValueError):
-        TrainConfig(smoothing=-0.1)
+    for smoothing in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
+            TrainConfig(smoothing=smoothing)
 
 
 def test_ab_hand_tally():

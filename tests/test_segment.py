@@ -280,21 +280,25 @@ def test_float_tie_merges_on_window():
     assert result.log_prob == g.sequence_log_probability(symbols)
 
 
-def test_model_not_prefix_closed():
-    # "H L" is retained but its prefix "H" is not: after reading H the
-    # automaton must still remember it, or "H L" is never matched.
-    def row(counts):
-        return " ".join(str(counts.get(str(s), 0)) for s in HIERARCHICAL.alphabet)
+def _hier_row(counts):
+    return " ".join(str(counts.get(str(s), 0)) for s in HIERARCHICAL.alphabet)
 
-    text = "\n".join([
-        "tonoseg-model v1",
-        "scheme hier",
-        "config 2 1 0.5",
-        ". " + row({"H": 5, "L": 5, ")": 3}),
-        "L " + row({"H": 1}),
-        "H L " + row({")": 9}),
-    ]) + "\n"
-    g = load_model(text)
+
+# "H L" is retained but its prefix "H" is not.
+NOT_PREFIX_CLOSED = "\n".join([
+    "tonoseg-model v1",
+    "scheme hier",
+    "config 2 1 0.5",
+    ". " + _hier_row({"H": 5, "L": 5, ")": 3}),
+    "L " + _hier_row({"H": 1}),
+    "H L " + _hier_row({")": 9}),
+]) + "\n"
+
+
+def test_model_not_prefix_closed():
+    # After reading H the automaton must still remember it, or "H L" is
+    # never matched.
+    g = load_model(NOT_PREFIX_CLOSED)
     seq = [Marker.TURN_OPEN, Marker.WORD_OPEN, H, L, Marker.WORD_CLOSE, Marker.TURN_CLOSE]
     assert g.sequence_log_probability(seq) == -13.848898655530903
     state, total = 0, 0.0
@@ -310,6 +314,48 @@ def test_model_not_prefix_closed():
         assert got == brute_force_segment(g, stream, HIERARCHICAL)
         rescored = g.sequence_log_probability(spans_to_symbols(stream, got.spans, HIERARCHICAL))
         assert got.log_prob == rescored
+
+
+def _closure_key(closure, scheme, history):
+    """Key of the history's longest suffix in ``closure``, a set of
+    contexts as tuples that holds the root."""
+    n = len(history)
+    while tuple(history[len(history) - n:]) not in closure:
+        n -= 1
+    suffix = history[len(history) - n:]
+    return sum((scheme.index(s) + 1) * (scheme.size + 1) ** i for i, s in enumerate(reversed(suffix)))
+
+
+def test_table_states_are_context_keys():
+    # A state names its context, not the order in which entries were
+    # filled: fresh grammars that read the same sequences in different
+    # orders step through the same (state, ln P) pairs.
+    rng = random.Random(45)
+    pruned = trained(HIERARCHY_PROMINENCE, rng, n_turns=20, depth=3, min_count=2)
+    cases = [(save_model(pruned), encode_corpus(random_corpus(rng, 12), HIERARCHY_PROMINENCE))]
+    cases.append((NOT_PREFIX_CLOSED, [
+        [rng.choice(HIERARCHICAL.alphabet) for _ in range(rng.randint(1, 10))] for _ in range(30)
+    ]))
+    for text, seqs in cases:
+        first, second = load_model(text), load_model(text)
+
+        def walk(grammar, order):
+            table, index = grammar.transitions(), grammar.scheme.index
+            steps = {}
+            for i in order:
+                state = 0
+                for j, sym in enumerate(seqs[i]):
+                    state, lp = table.step(state, index(sym))
+                    steps[i, j] = (state, lp)
+            return steps
+
+        got = walk(first, range(len(seqs)))
+        assert walk(second, reversed(range(len(seqs)))) == got
+        # The retained contexts closed under prefixes.
+        closure = {ctx[:j] for ctx, _ in first.iter_counts() for j in range(len(ctx) + 1)}
+        for (i, j), (state, lp) in got.items():
+            assert state == _closure_key(closure, first.scheme, seqs[i][: j + 1])
+            assert lp == first.log_prob(seqs[i][j], seqs[i][:j])
 
 
 def test_threads_share_one_fresh_grammar():

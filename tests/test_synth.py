@@ -15,6 +15,7 @@ from tonoseg.core import (
 from tonoseg.grammar import TrainConfig, train
 from tonoseg.synth import (
     PlantedGrammar,
+    SpecError,
     UnreachableContextError,
     planted_conditional,
     prefix_probability,
@@ -232,6 +233,19 @@ def test_json_round_trip():
     for _ in range(10):
         pg = random_planted(rng)
         assert PlantedGrammar.from_json(pg.to_json()) == pg
+
+
+def test_malformed_mapping_raises_spec_error():
+    # SpecError is both a TonosegError and a ValueError.
+    good = RICH.to_mapping()
+    bad = [[], None, {k: v for k, v in good.items() if k != "word_lengths"},
+           {**good, "interior_tones": 0.5}, {**good, "final_tones": {"X": 1.0}},
+           {**good, "turn_lengths": {"x": 1.0}},
+           {**good, "prominence": "high"}, {**good, "word_lengths": {"1": 0.4}}]
+    for data in bad:
+        with pytest.raises(SpecError):
+            PlantedGrammar.from_mapping(data)
+    assert issubclass(SpecError, TonosegError) and issubclass(SpecError, ValueError)
 
 
 def test_distribution_validation():
