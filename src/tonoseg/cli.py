@@ -8,6 +8,7 @@ invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import TonosegError, encode_corpus, get_scheme, scheme_ids
@@ -41,9 +42,19 @@ def _read(path: str) -> str:
 def _write(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        return
+    # A plain file is replaced whole from a temporary file in its directory, so a
+    # failed write leaves it intact; /dev/null, a pipe or a symlink is written in place.
+    plain = not os.path.islink(path) and (os.path.isfile(path) or not os.path.exists(path))
+    tmp = f"{path}.{os.getpid()}.tmp" if plain else path
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        if plain:
+            os.replace(tmp, path)
+    finally:
+        if plain and os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _cmd_train(args) -> int:

@@ -180,12 +180,6 @@ class EncodingScheme:
     def _index(self) -> dict:
         return {s: i for i, s in enumerate(self.alphabet)}
 
-    @cached_property
-    def _by_token(self) -> dict:
-        """Symbols keyed by the token ``str()`` writes for them."""
-        # Reversed, so a token shared by two symbols maps to the first.
-        return {str(s): s for s in reversed(self.alphabet)}
-
     def word_open_symbol(self, prominent: bool) -> Symbol:
         if prominent and self.prominence == "marker":
             return Marker.PROM_WORD_OPEN
@@ -407,12 +401,3 @@ def context_text(context: Sequence[Symbol]) -> str:
     """A context as model files write it: its symbols' tokens, ``.`` if empty."""
     return " ".join(map(str, context)) or "."
 
-
-def symbol_from_token(token: str, scheme: EncodingScheme) -> Symbol:
-    """Parse a whitespace-delimited symbol token as written by ``str()``."""
-    try:
-        return scheme._by_token[token]
-    except KeyError:
-        raise AlphabetError(
-            f"token {token!r} is not a symbol of scheme {scheme.scheme_id!r}"
-        ) from None

@@ -29,9 +29,7 @@ from .core import (
     TonosegError,
     Turn,
     UnknownToneError,
-    context_text,
     get_scheme,
-    symbol_from_token,
 )
 from .grammar import PatternGrammar, TrainConfig
 from .segment import SegmentationResult, WordSpan
@@ -166,9 +164,11 @@ def save_model(grammar: PatternGrammar) -> str:
         f"config {cfg.max_depth} {cfg.min_count} {cfg.smoothing!r}",
     ]
     alphabet = grammar.scheme.alphabet
-    for context, counts in grammar.iter_counts():
-        row = " ".join(str(counts.get(s, 0)) for s in alphabet)
-        out.append(f"{context_text(context)} {row}")
+    # A context's text is its oldest symbol's token, a space, then its
+    # one-shorter suffix's text; the root's is empty and written ".".
+    for text, counts in grammar._walk([f"{s!s} " for s in alphabet], ""):
+        row = " ".join([str(counts.get(s, 0)) for s in alphabet])
+        out.append(f"{text or '. '}{row}")
     return "\n".join(out) + "\n"
 
 
@@ -207,42 +207,41 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
     if len(parts) != 4 or parts[0] != "config":
         raise CorruptModelError(f"bad config line {config_line.strip()!r}")
     try:
-        config = TrainConfig(int(parts[1]), int(parts[2]), float(parts[3]))
-    except ValueError as err:
+        grammar = PatternGrammar(scheme, TrainConfig(int(parts[1]), int(parts[2]), float(parts[3])))
+    except (ValueError, TonosegError) as err:
         raise CorruptModelError(f"bad config values: {err}") from None
 
-    n = scheme.size
-    rows = []
+    # Each row goes straight into the grammar under its context key.  A token's
+    # digit is its symbol's; reversed, so a token shared by two names the first.
+    n, base, nodes = scheme.size, scheme.size + 1, grammar._nodes
+    digits = {str(s): d for d, s in reversed(list(enumerate(scheme.alphabet, 1)))}
+    nodes.clear()  # the rows bring every node, the root first
     for line_no, line in lines:
         tokens = line.split()
         if len(tokens) < n + 1:
             raise CorruptModelError(f"line {line_no}: node line needs context plus {n} counts")
-        ctx_tokens, count_tokens = tokens[:-n], tokens[-n:]
         try:
-            counts = [int(t) for t in count_tokens]
+            counts = list(map(int, tokens[-n:]))
         except ValueError:
             raise CorruptModelError(f"line {line_no}: non-integer count") from None
-        if ctx_tokens == ["."]:
-            context: tuple = ()
-        else:
+        context, key = tokens[:-n], 0
+        if context != ["."]:
             try:
-                context = tuple(symbol_from_token(t, scheme) for t in ctx_tokens)
-            except TonosegError as err:
-                raise CorruptModelError(f"line {line_no}: {err}") from None
-        rows.append((line_no, context, dict(zip(scheme.alphabet, counts))))
-    if not rows or rows[0][1] != ():
+                for token in context:
+                    key = key * base + digits[token]
+            except KeyError:
+                raise CorruptModelError(
+                    f"line {line_no}: token {token!r} is not a symbol of scheme {scheme_id!r}"
+                ) from None
+        if key and not nodes:
+            break
+        try:
+            grammar._insert(key, counts, context)
+        except TonosegError as err:
+            raise CorruptModelError(f"line {line_no}: {err}") from None
+    if not nodes:
         raise CorruptModelError("document has no root node")
-
-    def items():
-        # from_counts reads the rows lazily, so line_no names the row it fails on.
-        nonlocal line_no
-        for line_no, context, counts in rows:
-            yield context, counts
-
-    try:
-        return PatternGrammar.from_counts(scheme, config, items())
-    except TonosegError as err:
-        raise CorruptModelError(f"line {line_no}: {err}") from None
+    return grammar
 
 
 _SPAN = re.compile(r"^(\d+)-(\d+)(\*?)$")

@@ -103,6 +103,10 @@ class PatternGrammar:
     """
 
     def __init__(self, scheme: EncodingScheme, config: TrainConfig):
+        if not math.isfinite(config.smoothing * scheme.size):
+            raise TonosegError(
+                f"smoothing {config.smoothing!r} too large for an alphabet of {scheme.size} symbols"
+            )
         self.scheme = scheme
         self.config = config
         self._nodes: dict[int, _Node] = {0: _Node()}
@@ -128,18 +132,24 @@ class PatternGrammar:
         Contexts are in chronological order (oldest symbol first) and the
         iteration order is deterministic: depth first by alphabet rank.
         """
-        alphabet, nodes, powers = self.scheme.alphabet, self._nodes, self._powers
-        stack = [((), 0)]
+        return self._walk(tuple((s,) for s in self.scheme.alphabet), ())
+
+    def _walk(self, labels: Sequence, root) -> Iterator[tuple[object, dict]]:
+        """(label, successor-counts) per retained node in ``iter_counts`` order.  The root's
+        label is ``root``; a context's is ``labels[a] +`` its one-shorter suffix's label,
+        ``a`` being its oldest symbol's index."""
+        nodes, powers, size = self._nodes, self._powers, self.scheme.size
+        stack = [(0, 0, root)]
         while stack:
-            context, key = stack.pop()
-            yield context, nodes[key].counts
-            if len(context) < self.config.max_depth:
+            key, length, label = stack.pop()
+            yield label, nodes[key].counts
+            if length < self.config.max_depth:
                 # Children add an older symbol, as the highest digit; they
                 # are pushed in reverse alphabet order.
-                scale = powers[len(context)]
-                for child in range(key + len(alphabet) * scale, key, -scale):
+                scale = powers[length]
+                for child in range(key + size * scale, key, -scale):
                     if child in nodes:
-                        stack.append(((alphabet[child // scale - 1],) + context, child))
+                        stack.append((child, length + 1, labels[child // scale - 1] + label))
 
     @classmethod
     def from_counts(
@@ -151,43 +161,50 @@ class PatternGrammar:
         """Rebuild a grammar from (context, successor-counts) pairs.
 
         Every non-root context's one-shorter suffix must already be
-        present (suffix closure); violations raise ``TonosegError``.
+        present (suffix closure), so the root, if given, comes first;
+        violations raise ``TonosegError``.
         """
         grammar = cls(scheme, config)
-        nodes, digits, powers = grammar._nodes, grammar._digits, grammar._powers
+        digits, base = grammar._digits, scheme.size + 1
+        grammar._nodes.clear()  # the items bring every node; the root is added below if not
         for context, counts in items:
-            if len(context) > config.max_depth:
-                raise TonosegError(
-                    f"context {context_text(context)!r} longer than max_depth={config.max_depth}"
-                )
-            # Newest symbol first: each step's key is a longer suffix.
             key = 0
-            for depth, sym in enumerate(reversed(tuple(context))):
+            for sym in context:
                 digit = digits.get(sym)
                 if digit is None:
                     raise AlphabetError(f"context symbol {sym!r} not in scheme alphabet")
-                key += digit * powers[depth]
-                if depth != len(context) - 1 and key not in nodes:
-                    raise TonosegError(
-                        f"context {context_text(context)!r} lacks its suffix; "
-                        "trie not suffix-closed"
-                    )
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = _Node()
-            elif node.counts:
-                raise TonosegError(f"duplicate context {context_text(context)!r}")
-            for sym, c in counts.items():
+                key = key * base + digit
+            for sym in counts:
                 if sym not in digits:
                     raise AlphabetError(f"successor {sym!r} not in scheme alphabet")
-                if c < 0:
-                    raise TonosegError(
-                        f"negative count for {str(sym)!r} in context {context_text(context)!r}"
-                    )
-                if c:
-                    node.counts[sym] = c
-                    node.total += c
+            grammar._insert(key, [counts.get(s, 0) for s in scheme.alphabet], context)
+        grammar._nodes.setdefault(0, _Node())
         return grammar
+
+    def _insert(self, key: int, counts: Sequence[int], context: Sequence) -> None:
+        """Store one context's successor counts, in alphabet order.  Its one-shorter
+        suffix must be stored already, so by induction all its suffixes are.
+        ``context`` (symbols or model-file tokens) names it in errors."""
+        nodes, powers = self._nodes, self._powers
+        length = bisect_right(powers, key)  # the context's symbol count
+        if length > self.config.max_depth:
+            raise TonosegError(
+                f"context {context_text(context)!r} longer than max_depth={self.config.max_depth}"
+            )
+        if key and key % powers[length - 1] not in nodes:
+            raise TonosegError(
+                f"context {context_text(context)!r} lacks its suffix; trie not suffix-closed"
+            )
+        if key in nodes:
+            raise TonosegError(f"duplicate context {context_text(context)!r}")
+        if min(counts, default=0) < 0:
+            sym = next(s for s, c in zip(self.scheme.alphabet, counts) if c < 0)
+            raise TonosegError(
+                f"negative count for {str(sym)!r} in context {context_text(context)!r}"
+            )
+        node = nodes[key] = _Node()
+        node.counts = {s: c for s, c in zip(self.scheme.alphabet, counts) if c}
+        node.total = sum(counts)
 
     # -- prediction ---------------------------------------------------
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -149,6 +150,53 @@ def test_non_finite_model_smoothing_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("bad config values: smoothing must be finite") == 2
     assert not seg.exists()
+
+
+def test_huge_smoothing_exit_2(tmp_path, capsys):
+    # Finite, but smoothing * alphabet size overflows to infinity.
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    argv = ["train", "--scheme", "flat", "--corpus", str(corpus), "--out", str(model)]
+    assert main(argv + ["--smoothing", "1e308"]) == 2
+    assert "smoothing 1e+308 too large for an alphabet of 10 symbols" in capsys.readouterr().err
+    assert not model.exists()
+    assert main(argv) == 0
+    model.write_text(model.read_text().replace("config 4 2 0.5", "config 4 2 1e308"))
+    seg = tmp_path / "seg.txt"
+    assert main(["entropy", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert main(["segment", "--model", str(model), "--input", str(corpus), "--out", str(seg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: bad config values: smoothing 1e+308 too large for an alphabet") == 2
+    assert not seg.exists()
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    out = tmp_path / "encoded.txt"
+    out.write_bytes(b"previous\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(["encode", "--scheme", "flat", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["encoded.txt", "uniform.txt"]
+
+
+def test_write_through_symlink_in_place(tmp_path):
+    # Only a plain file is replaced; a symlink keeps pointing at its target.
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("previous\n")
+    link.symlink_to(target)
+    assert main(["encode", "--scheme", "flat", "--corpus", str(corpus), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == "[ T M B H S L U D ]\n" * 4
 
 
 @pytest.mark.parametrize(

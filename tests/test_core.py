@@ -8,7 +8,6 @@ from tonoseg.core import (
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
     HIERARCHY_PROMINENCE_TONES,
-    AlphabetError,
     Corpus,
     DecodeError,
     EmptyTurnError,
@@ -25,7 +24,6 @@ from tonoseg.core import (
     encode_turn,
     get_scheme,
     register_scheme,
-    symbol_from_token,
 )
 from helpers import random_turn, turn
 
@@ -95,13 +93,6 @@ def test_registry(monkeypatch):
 def test_duplicate_alphabet_rejected():
     with pytest.raises(ValueError):
         EncodingScheme("dup", ("A", "A"))
-
-
-def test_symbol_from_token():
-    assert symbol_from_token("*(", HIERARCHY_PROMINENCE) is Marker.PROM_WORD_OPEN
-    assert symbol_from_token("H", FLAT) is Tone.HIGHER
-    with pytest.raises(AlphabetError):
-        symbol_from_token("*(", HIERARCHICAL)
 
 
 # -- hierarchy types ---------------------------------------------------

@@ -1,9 +1,12 @@
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tonoseg import core
 from tonoseg.core import (
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
@@ -33,6 +36,7 @@ from tonoseg.synth import sample_corpus
 from helpers import random_corpus, random_planted, turn
 
 HEADER = "tonoseg-corpus v1\n"
+MODEL_GOLDEN = Path(__file__).parent / "fixtures" / "model_golden.json"
 
 
 # -- corpus parsing ----------------------------------------------------
@@ -275,6 +279,51 @@ def test_model_missing_root():
     lines = [l for l in text.splitlines() if not l.startswith(". ")]
     with pytest.raises(CorruptModelError):
         load_model("\n".join(lines) + "\n")
+
+
+def test_model_golden_round_trip():
+    # Every pinned model file loads and saves back byte for byte, and the
+    # keyed rows of load_model equal those of from_counts.
+    def nodes(grammar):
+        return [(key, node.counts, node.total) for key, node in grammar._nodes.items()]
+
+    for case in json.loads(MODEL_GOLDEN.read_text())["cases"]:
+        g = load_model(case["model"])
+        assert save_model(g) == case["model"]
+        assert nodes(g) == nodes(PatternGrammar.from_counts(g.scheme, g.config, g.iter_counts()))
+
+
+def test_model_bad_rows_rejected():
+    head = "tonoseg-model v1\nscheme flat\nconfig 1 1 0.5\n"
+    zeros = " 0" * 10
+    for rows, message in (
+        # a repeated context fails even when its first copy counts nothing
+        (f".{zeros}\nH{zeros}\nH 1 2{zeros[4:]}\n", "line 6: duplicate context 'H'"),
+        (f".{zeros}\n. 1 2{zeros[4:]}\n", "line 5: duplicate context '.'"),
+        (f".{zeros}\nH{zeros}\nH H{zeros}\n", "line 6: context 'H H' longer than max_depth=1"),
+        (f"H{zeros}\n.{zeros}\n", "document has no root node"),
+    ):
+        with pytest.raises(CorruptModelError) as exc:
+            load_model(head + rows)
+        assert str(exc.value) == message
+
+
+def test_model_shared_token_names_first_symbol(monkeypatch):
+    monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))
+    core.register_scheme(core.EncodingScheme("toy-shared", (1, "1")))
+    g = load_model("tonoseg-model v1\nscheme toy-shared\nconfig 1 1 0.5\n. 1 1\n1 2 0\n")
+    assert list(g.iter_counts()) == [((), {1: 1, "1": 1}), ((1,), {1: 2})]
+
+
+def test_model_first_fault_in_line_order():
+    # A negative count on an early row and an unknown token on a later one:
+    # the row read first is reported.
+    lines = save_model(tiny_grammar()).splitlines()
+    lines[4] = lines[4].rsplit(" ", 1)[0] + " -1"
+    lines[-1] = "t " + lines[-1].split(" ", 1)[1]
+    with pytest.raises(CorruptModelError) as exc:
+        load_model("\n".join(lines) + "\n")
+    assert str(exc.value).startswith("line 5: negative count for ")
 
 
 # -- segmentation files ------------------------------------------------

@@ -49,6 +49,9 @@ def test_train_config_defaults_and_validation():
     for smoothing in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             TrainConfig(smoothing=smoothing)
+    # finite, but smoothing * alphabet size is not: rejected when a grammar is built
+    with pytest.raises(TonosegError, match=r"^smoothing 1e\+308 too large for an alphabet of 2 "):
+        train([AB_SEQUENCE], TOY2, TrainConfig(smoothing=1e308))
 
 
 def test_ab_hand_tally():
@@ -310,6 +313,11 @@ def test_from_counts_rejects_broken_tries():
             PatternGrammar.from_counts(TOY2, g.config, broken)
     with pytest.raises(TonosegError):
         PatternGrammar.from_counts(TOY2, g.config, items + [((), {"A": 1})])
+    # a context given twice is rejected even when its first copy counts nothing
+    for context, text in (((), "."), (("A",), "A")):
+        rows = [((), {}), (("A",), {"A": 0}), (context, {"A": 1, "B": 2})]
+        with pytest.raises(TonosegError, match=rf"^duplicate context '{text}'$"):
+            PatternGrammar.from_counts(TOY2, g.config, rows)
 
 
 def test_model_golden():
