@@ -70,7 +70,7 @@ def _cmd_entropy(args) -> int:
     grammar = load_model(_read(args.model))
     corpus = parse_corpus(_read(args.corpus))
     sequences = encode_corpus(corpus, grammar.scheme)
-    n = args.alphabet_size or grammar.scheme.size
+    n = grammar.scheme.size if args.alphabet_size is None else args.alphabet_size
     h_plain, hn_plain = marginal_entropy(sequences, n)
     h_model, hn_model = model_entropy(grammar, sequences, n)
     if args.format == "kv":

@@ -163,12 +163,10 @@ def save_model(grammar: PatternGrammar) -> str:
         f"scheme {grammar.scheme.scheme_id}",
         f"config {cfg.max_depth} {cfg.min_count} {cfg.smoothing!r}",
     ]
-    alphabet = grammar.scheme.alphabet
     # A context's text is its oldest symbol's token, a space, then its
     # one-shorter suffix's text; the root's is empty and written ".".
-    for text, counts in grammar._walk([f"{s!s} " for s in alphabet], ""):
-        row = " ".join([str(counts.get(s, 0)) for s in alphabet])
-        out.append(f"{text or '. '}{row}")
+    for text, counts in grammar._walk([f"{s!s} " for s in grammar.scheme.alphabet], ""):
+        out.append(f"{text or '. '}{' '.join(map(str, counts))}")
     return "\n".join(out) + "\n"
 
 

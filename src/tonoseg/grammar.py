@@ -18,11 +18,14 @@ index ``a`` is ``key * base + a + 1``.  The decoder's window
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import AlphabetError, EncodingScheme, TonosegError, context_text
+
+MAX_DEPTH = 64  # a grammar's ``_powers`` cost time and memory quadratic in its depth
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ class TrainConfig:
     smoothing: float = 0.5
 
     def __post_init__(self):
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if not 0 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max_depth must be in [0, {MAX_DEPTH}], got {self.max_depth}")
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
         if not (math.isfinite(self.smoothing) and self.smoothing >= 0):
@@ -51,9 +54,9 @@ class TrainConfig:
 class _Node:
     __slots__ = ("counts", "total")
 
-    def __init__(self):
-        self.counts: dict = {}
-        self.total = 0
+    def __init__(self, counts: list[int], total: int = 0):
+        self.counts = counts
+        self.total = total
 
 
 def _longest_suffix(keys, key: int, powers: Sequence[int]) -> int:
@@ -66,20 +69,21 @@ def _longest_suffix(keys, key: int, powers: Sequence[int]) -> int:
     return key
 
 
-def _smoothed_log_prob(node: _Node, symbol, smoothing: float, size: int) -> float:
-    """ln P(symbol) under add-lambda smoothing at one context's node.
+def _smoothed_log_prob(node: _Node, a: int, smoothing: float, size: int) -> float:
+    """ln P(symbol of index ``a``) under add-lambda smoothing at one context's node.
 
     The single place the smoothed arithmetic lives: ``log_prob``,
-    ``conditional``, the chain-rule scores and the transition table all
+    ``conditional``, the chain-rule scores and ``PatternGrammar.step`` all
     call it, so their scores agree bitwise.
     """
     denom = node.total + smoothing * size
     if denom == 0:
         raise TonosegError("no counts at matched context and smoothing is zero")
-    num = node.counts.get(symbol, 0) + smoothing
+    num = node.counts[a] + smoothing
     if num == 0:
         return -math.inf
-    return math.log(num / denom)
+    p = num / denom
+    return math.log(p) if p else math.log(num) - math.log(denom)  # p underflowed to 0
 
 
 class PatternGrammar:
@@ -87,19 +91,21 @@ class PatternGrammar:
 
     One dict maps each retained context's key (digits in base
     ``size + 1``, each a symbol index plus one, newest symbol lowest, root
-    0) to its successor counts.  A retained context's suffixes are retained.
+    0) to its successor counts, a list in alphabet order.  A retained
+    context's suffixes are retained.
 
-    The counts are immutable once trained.  The decoders score through a
-    transition table (see ``transitions``) that the grammar owns and
-    fills lazily, one (state, symbol) entry on first use; it stays with
-    the grammar across calls.  ``log_prob``, ``conditional`` and the
-    entropy functions never touch it.
+    The counts are immutable once trained.  The decoders score through
+    the grammar's context automaton (see ``step``), whose entries the
+    grammar fills lazily, one (state, symbol) entry on first use, and
+    keeps across calls.  ``log_prob``, ``conditional`` and the entropy
+    functions never touch them.
 
-    Queries are safe from any number of threads without a lock.  A
-    table entry is a pure function of the counts and its state is a
-    context key, not a fill order, so threads that build the table or
-    an entry at once build equal ones, and whichever is stored gives
-    every thread the same states and the same bitwise scores.
+    Queries are safe from any number of threads without a lock.  An
+    automaton entry is a pure function of the counts and its state is a
+    context key, not a fill order, so threads that build the prefix
+    closure or an entry at once build equal ones, and whichever is
+    stored gives every thread the same states and the same bitwise
+    scores.
     """
 
     def __init__(self, scheme: EncodingScheme, config: TrainConfig):
@@ -109,11 +115,14 @@ class PatternGrammar:
             )
         self.scheme = scheme
         self.config = config
-        self._nodes: dict[int, _Node] = {0: _Node()}
+        self._size = scheme.size
+        self._nodes: dict[int, _Node] = {0: _Node([0] * scheme.size)}
         # Each symbol's digit in a context key, and base**L for L = 0..max_depth.
         self._digits = {s: i + 1 for i, s in enumerate(scheme.alphabet)}
         self._powers = [(scheme.size + 1) ** n for n in range(config.max_depth + 1)]
-        self._transitions: _Transitions | None = None
+        # The automaton (see ``step``): its prefix closure, built on the first miss, and entries.
+        self._closure: dict[int, _Node] | None = None
+        self._entries: dict[int, tuple[int, float]] = {}
 
     # -- structure ----------------------------------------------------
 
@@ -131,10 +140,13 @@ class PatternGrammar:
 
         Contexts are in chronological order (oldest symbol first) and the
         iteration order is deterministic: depth first by alphabet rank.
+        Each dict holds the nonzero counts, in alphabet order.
         """
-        return self._walk(tuple((s,) for s in self.scheme.alphabet), ())
+        alphabet = self.scheme.alphabet
+        for context, counts in self._walk(tuple((s,) for s in alphabet), ()):
+            yield context, {s: c for s, c in zip(alphabet, counts) if c}
 
-    def _walk(self, labels: Sequence, root) -> Iterator[tuple[object, dict]]:
+    def _walk(self, labels: Sequence, root) -> Iterator[tuple[object, list[int]]]:
         """(label, successor-counts) per retained node in ``iter_counts`` order.  The root's
         label is ``root``; a context's is ``labels[a] +`` its one-shorter suffix's label,
         ``a`` being its oldest symbol's index."""
@@ -178,11 +190,11 @@ class PatternGrammar:
                 if sym not in digits:
                     raise AlphabetError(f"successor {sym!r} not in scheme alphabet")
             grammar._insert(key, [counts.get(s, 0) for s in scheme.alphabet], context)
-        grammar._nodes.setdefault(0, _Node())
+        grammar._nodes.setdefault(0, _Node([0] * scheme.size))
         return grammar
 
-    def _insert(self, key: int, counts: Sequence[int], context: Sequence) -> None:
-        """Store one context's successor counts, in alphabet order.  Its one-shorter
+    def _insert(self, key: int, counts: list[int], context: Sequence) -> None:
+        """Store one context's successor counts, a list in alphabet order.  Its one-shorter
         suffix must be stored already, so by induction all its suffixes are.
         ``context`` (symbols or model-file tokens) names it in errors."""
         nodes, powers = self._nodes, self._powers
@@ -202,9 +214,14 @@ class PatternGrammar:
             raise TonosegError(
                 f"negative count for {str(sym)!r} in context {context_text(context)!r}"
             )
-        node = nodes[key] = _Node()
-        node.counts = {s: c for s, c in zip(self.scheme.alphabet, counts) if c}
-        node.total = sum(counts)
+        total = sum(counts)
+        lam = self.config.smoothing
+        # An int past the float range fails the first test; the sum would raise OverflowError.
+        if not (total <= sys.float_info.max and math.isfinite(total + lam * self._size)):
+            raise TonosegError(
+                f"counts in context {context_text(context)!r} too large: smoothed total is not finite"
+            )
+        nodes[key] = _Node(counts, total)
 
     # -- prediction ---------------------------------------------------
 
@@ -229,18 +246,15 @@ class PatternGrammar:
         positive smoothing constant the result is strictly positive.
         """
         node = self._match(context)
-        lam, size = self.config.smoothing, self.scheme.size
-        return tuple(
-            math.exp(_smoothed_log_prob(node, sym, lam, size)) for sym in self.scheme.alphabet
-        )
+        lam, size = self.config.smoothing, self._size
+        return tuple(math.exp(_smoothed_log_prob(node, a, lam, size)) for a in range(size))
 
     def log_prob(self, symbol, context: Sequence) -> float:
         """ln P(symbol | context); -inf when unsmoothed and unseen."""
-        if symbol not in self.scheme:
+        digit = self._digits.get(symbol)
+        if digit is None:
             raise AlphabetError(f"symbol {symbol!r} not in scheme alphabet")
-        return _smoothed_log_prob(
-            self._match(context), symbol, self.config.smoothing, self.scheme.size
-        )
+        return _smoothed_log_prob(self._match(context), digit - 1, self.config.smoothing, self._size)
 
     def _log_probs(self, symbols: Sequence) -> Iterator[float]:
         """``log_prob`` of each symbol given the symbols before it, in order.
@@ -249,21 +263,57 @@ class PatternGrammar:
         so no context is sliced or re-encoded.
         """
         nodes, digits, powers = self._nodes, self._digits, self._powers
-        lam, size = self.config.smoothing, self.scheme.size
+        lam, size = self.config.smoothing, self._size
         depth = self.config.max_depth
         window = 0
         for sym in symbols:
             digit = digits.get(sym)
             if digit is None:
                 raise AlphabetError(f"symbol {sym!r} not in scheme alphabet")
-            yield _smoothed_log_prob(nodes[_longest_suffix(nodes, window, powers)], sym, lam, size)
+            yield _smoothed_log_prob(nodes[_longest_suffix(nodes, window, powers)], digit - 1, lam, size)
             window = (window * (size + 1) + digit) % powers[depth]
 
-    def transitions(self) -> "_Transitions":
-        """The grammar's context automaton, created on first use."""
-        if self._transitions is None:
-            self._transitions = _Transitions(self)
-        return self._transitions
+    def step(self, state: int, a: int) -> tuple[int, float]:
+        """(next state, ln P) for symbol index ``a`` read in ``state``.
+
+        The grammar as a context automaton, filled lazily: the
+        prediction-suffix-tree-to-automaton construction of Ron, Singer &
+        Tishby ("The Power of Amnesia", 1996).  The states are the
+        retained contexts closed under prefixes; the state of a history is
+        its longest suffix among them.  The state of a history extended by
+        one symbol is the longest such suffix of (state + symbol), and the
+        longest retained suffix of a history, which ``log_prob`` scores at,
+        is that of its state.  So one row per state gives every score.  The
+        closure matters: with the context ``H L`` retained but ``H`` pruned,
+        the state after ``H`` must remember the ``H``.  Trained grammars are
+        closed under prefixes (a context's prefix occurs wherever the context
+        does, one position earlier); ``from_counts`` accepts ones that are not.
+
+        A state is its context's key, the root 0.  The entry of state ``s``
+        and symbol index ``a`` is computed on first use and stored whole, as
+        ``(next state, ln P)`` under ``s * size + a``.  An entry is a pure
+        function of the immutable counts, stored as one finished tuple, so
+        threads that race on it store equal tuples and need no lock.
+        """
+        size = self._size
+        entry = self._entries.get(state * size + a)
+        if entry is None:
+            powers, closure = self._powers, self._closure
+            if closure is None:
+                # Each key maps to the node its state scores at: its longest retained suffix.
+                nodes, missing = self._nodes, {}
+                for key in nodes:
+                    key //= size + 1
+                    while key not in nodes and key not in missing:
+                        missing[key] = nodes[_longest_suffix(nodes, key, powers)]
+                        key //= size + 1
+                closure = self._closure = {**nodes, **missing} if missing else nodes
+            longer = (state * (size + 1) + a + 1) % powers[-1]
+            entry = self._entries[state * size + a] = (
+                _longest_suffix(closure, longer, powers),
+                _smoothed_log_prob(closure[state], a, self.config.smoothing, size),
+            )
+        return entry
 
     def sequence_log_probability(self, symbols: Sequence) -> float:
         """Natural-log chain-rule probability of one symbol sequence.
@@ -278,62 +328,6 @@ class PatternGrammar:
                 return -math.inf
             total += lp
         return total
-
-
-class _Transitions:
-    """The grammar compiled into a context automaton, filled lazily.
-
-    This is the prediction-suffix-tree-to-automaton construction of Ron,
-    Singer & Tishby ("The Power of Amnesia", 1996).  The states are the
-    retained contexts closed under prefixes; the state of a history is
-    its longest suffix among them.  The state of a history extended by
-    one symbol is the longest such suffix of (state + symbol), and the
-    longest retained suffix of a history, which ``log_prob`` scores at,
-    is that of its state.  So one row per state gives every score.  The
-    closure matters: with the context ``H L`` retained but ``H`` pruned,
-    the state after ``H`` must remember the ``H``.  Trained grammars are
-    closed under prefixes (a context's prefix occurs wherever the context
-    does, one position earlier); ``from_counts`` accepts ones that are not.
-
-    A state is its context's key, the root 0.  ``step`` computes the
-    entry of state ``s`` and symbol index ``a`` on first use and stores
-    it whole, as ``(next state, ln P)`` under ``s * size + a``.  An entry
-    is a pure function of the immutable counts, stored as one finished
-    tuple, so threads that race on it store equal tuples and need no lock.
-    """
-
-    def __init__(self, grammar: PatternGrammar):
-        # No reference back to the grammar: without a cycle, dropping the
-        # grammar frees its nodes and table at once, not at the next
-        # collection of the garbage collector's oldest generation.
-        self.size = grammar.scheme.size
-        self._alphabet = grammar.scheme.alphabet
-        self._smoothing = grammar.config.smoothing
-        self._powers = powers = grammar._powers
-        # The prefix closure, each key mapped to the node its state scores
-        # at: its longest retained suffix.
-        nodes, missing = grammar._nodes, {}
-        for key in nodes:
-            key //= self.size + 1
-            while key not in nodes and key not in missing:
-                missing[key] = nodes[_longest_suffix(nodes, key, powers)]
-                key //= self.size + 1
-        self._closure = {**nodes, **missing} if missing else nodes
-        self._entries: dict[int, tuple[int, float]] = {}
-
-    def step(self, state: int, a: int) -> tuple[int, float]:
-        """(next state, ln P) for symbol index ``a`` read in ``state``."""
-        k = state * self.size + a
-        entry = self._entries.get(k)
-        if entry is None:
-            longer = (state * (self.size + 1) + a + 1) % self._powers[-1]
-            entry = self._entries[k] = (
-                _longest_suffix(self._closure, longer, self._powers),
-                _smoothed_log_prob(
-                    self._closure[state], self._alphabet[a], self._smoothing, self.size
-                ),
-            )
-        return entry
 
 
 def train(
@@ -351,7 +345,7 @@ def train(
     """
     grammar = PatternGrammar(scheme, config or TrainConfig())
     nodes, digits, powers = grammar._nodes, grammar._digits, grammar._powers
-    depth, base = grammar.config.max_depth, scheme.size + 1
+    depth, size, base = grammar.config.max_depth, scheme.size, scheme.size + 1
     for si, seq in enumerate(sequences):
         window = 0  # key of the last max_depth symbols
         for pos, successor in enumerate(seq):
@@ -365,8 +359,8 @@ def train(
                 key = window % powers[length]
                 node = nodes.get(key)
                 if node is None:
-                    node = nodes[key] = _Node()
-                node.counts[successor] = node.counts.get(successor, 0) + 1
+                    node = nodes[key] = _Node([0] * size)
+                node.counts[digit - 1] += 1
                 node.total += 1
             window = (window * base + digit) % powers[depth]
     min_count = grammar.config.min_count

@@ -5,8 +5,8 @@ words (and, under a prominence-marking scheme, every prominence
 assignment) yields one encoded symbol sequence; the decoder returns a
 placement maximizing the chain-rule score.  ``brute_force_segment``
 enumerates the candidates outright and is the oracle the decoder is
-tested against.  Both score through the grammar's transition table
-(``PatternGrammar.transitions``).
+tested against.  Both score through the grammar's context automaton
+(``PatternGrammar.step``).
 
 ``segment_turn`` is a Viterbi pass.  After each tone it keeps one
 entry per merge state: the last ``max_depth`` symbols (the window: the
@@ -164,8 +164,6 @@ def brute_force_segment(
     n = len(tones)
     if n > 14:
         raise SegmentationError(f"brute force limited to 14 tones, got {n}")
-    step = grammar.transitions().step
-    index = scheme.index
 
     best_key = None
     best = None
@@ -174,7 +172,7 @@ def brute_force_segment(
         total = 0.0
         state = 0
         for sym in spans_to_symbols(tones, spans, scheme):
-            state, lp = step(state, index(sym))
+            state, lp = grammar.step(state, scheme.index(sym))
             total += lp
         key = (-total, len(spans), bounds, proms)
         if best_key is None or key < best_key:
@@ -196,7 +194,7 @@ def segment_turn(
     candidate.
     """
     _check_inputs(grammar, tones, scheme)
-    step = grammar.transitions().step
+    step = grammar.step
     index = scheme.index
     base = scheme.size + 1
     modulus = base**grammar.config.max_depth

@@ -171,6 +171,51 @@ def test_huge_smoothing_exit_2(tmp_path, capsys):
     assert not seg.exists()
 
 
+def test_overflowing_model_count_exit_2(tmp_path, capsys):
+    # A count past the float range used to load, then fail scoring with exit 3.
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    assert main(["train", "--scheme", "hier", "--corpus", str(corpus), "--out", str(model)]) == 0
+    lines = model.read_text().splitlines()
+    root = lines[3].split()
+    assert root[0] == "."
+    root[1] = str(10**400)
+    lines[3] = " ".join(root)
+    model.write_text("\n".join(lines) + "\n")
+    seg = tmp_path / "seg.txt"
+    assert main(["entropy", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert main(["segment", "--model", str(model), "--input", str(corpus), "--out", str(seg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: line 4: counts in context '.' too large: smoothed total is not finite") == 2
+    assert not seg.exists()
+
+
+@pytest.mark.parametrize("size", ["0", "1", "-3"])
+def test_alphabet_size_below_two_exit_2(tmp_path, capsys, size):
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    assert main(["train", "--scheme", "flat", "--corpus", str(corpus), "--out", str(model)]) == 0
+    argv = ["entropy", "--model", str(model), "--corpus", str(corpus), "--alphabet-size", size]
+    assert main(argv) == 2
+    assert f"n_categories must be >= 2, got {size}" in capsys.readouterr().err
+
+
+def test_max_depth_above_64_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    argv = ["train", "--scheme", "flat", "--corpus", str(corpus), "--out", str(model)]
+    assert main(argv + ["--max-depth", "65"]) == 2
+    assert "max_depth must be in [0, 64], got 65" in capsys.readouterr().err
+    assert not model.exists()
+    assert main(argv + ["--max-depth", "64"]) == 0
+    model.write_text(model.read_text().replace("config 64 2 0.5", "config 65 2 0.5"))
+    assert main(["entropy", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert "error: bad config values: max_depth must be in [0, 64], got 65" in capsys.readouterr().err
+
+
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, capsys):
     corpus = tmp_path / "uniform.txt"
     corpus.write_text(UNIFORM_CORPUS)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from tonoseg.core import (
 )
 from tonoseg.formats import parse_corpus, save_model
 from tonoseg.grammar import (
+    MAX_DEPTH,
     PatternGrammar,
     TrainConfig,
     marginal_entropy,
@@ -52,6 +54,13 @@ def test_train_config_defaults_and_validation():
     # finite, but smoothing * alphabet size is not: rejected when a grammar is built
     with pytest.raises(TonosegError, match=r"^smoothing 1e\+308 too large for an alphabet of 2 "):
         train([AB_SEQUENCE], TOY2, TrainConfig(smoothing=1e308))
+
+
+def test_train_config_depth_bound():
+    # Building a grammar costs time and memory quadratic in its depth.
+    assert TrainConfig(max_depth=MAX_DEPTH).max_depth == 64
+    with pytest.raises(ValueError, match=r"^max_depth must be in \[0, 64\], got 65$"):
+        TrainConfig(max_depth=65)
 
 
 def test_ab_hand_tally():
@@ -318,6 +327,43 @@ def test_from_counts_rejects_broken_tries():
         rows = [((), {}), (("A",), {"A": 0}), (context, {"A": 1, "B": 2})]
         with pytest.raises(TonosegError, match=rf"^duplicate context '{text}'$"):
             PatternGrammar.from_counts(TOY2, g.config, rows)
+
+
+def test_from_counts_rejects_counts_past_float_range():
+    # Such a row used to load and then raise OverflowError when scored.
+    big = 10**400
+    cases = [
+        (TrainConfig(1, 1, 0.5), [((), {"A": big})], "."),
+        (TrainConfig(1, 1, 0.5), [((), {}), (("A",), {"A": 1, "B": big})], "A"),
+        (TrainConfig(1, 1, 0.5), [((), {"A": int(sys.float_info.max), "B": int(sys.float_info.max)})], "."),
+        # each count is a finite float, but adding smoothing * size is not
+        (TrainConfig(1, 1, 5e307), [((), {"A": int(1e308)})], "."),
+    ]
+    for config, rows, text in cases:
+        with pytest.raises(TonosegError, match=rf"^counts in context '{text}' too large: smoothed total is not finite$"):
+            PatternGrammar.from_counts(TOY2, config, rows)
+    # The largest total that still works.
+    g = PatternGrammar.from_counts(TOY2, TrainConfig(1, 1, 0.5), [((), {"A": int(sys.float_info.max)})])
+    assert g.log_prob("A", []) == 0.0
+
+
+def test_tiny_smoothing_scores_unseen_symbols():
+    # P(B) = 5e-324 / 1000 underflows to 0.0; its log must not raise.
+    g = PatternGrammar.from_counts(TOY2, TrainConfig(0, 1, 5e-324), [((), {"A": 1000})])
+    lp = math.log(5e-324) - math.log(1000 + 1e-323)
+    assert g.log_prob("B", []) == lp
+    assert g.sequence_log_probability(["A", "B"]) == 0.0 + lp
+    assert g.step(0, 1) == (0, lp)
+
+
+def test_iter_counts_in_alphabet_order():
+    # Trained counts come out in alphabet order, not in the order first seen.
+    g = train([list("CBA"), list("BCA")], TOY3, TrainConfig(1, 1, 0.5))
+    assert list(g.iter_counts()) == [
+        ((), {"A": 2, "B": 2, "C": 2}), (("B",), {"A": 1, "C": 1}), (("C",), {"A": 1, "B": 1}),
+    ]
+    for _, counts in g.iter_counts():
+        assert list(counts) == sorted(counts)
 
 
 def test_model_golden():

@@ -121,10 +121,9 @@ def test_table_scores_equal_log_prob(grammar, data):
     # Sequences built from retained contexts reach the deep states.
     scheme = grammar.scheme
     seq = symbol_lists(grammar, data)
-    table = grammar.transitions()
     state, total = 0, 0.0
     for i, sym in enumerate(seq):
-        state, lp = table.step(state, scheme.index(sym))
+        state, lp = grammar.step(state, scheme.index(sym))
         assert lp == grammar.log_prob(sym, seq[:i])
         total += lp
     assert total == grammar.sequence_log_probability(seq)

@@ -303,7 +303,7 @@ def test_model_not_prefix_closed():
     assert g.sequence_log_probability(seq) == -13.848898655530903
     state, total = 0, 0.0
     for sym in seq:
-        state, lp = g.transitions().step(state, HIERARCHICAL.index(sym))
+        state, lp = g.step(state, HIERARCHICAL.index(sym))
         total += lp
     assert total == -13.848898655530903
     rng = random.Random(41)
@@ -340,12 +340,12 @@ def test_table_states_are_context_keys():
         first, second = load_model(text), load_model(text)
 
         def walk(grammar, order):
-            table, index = grammar.transitions(), grammar.scheme.index
+            step, index = grammar.step, grammar.scheme.index
             steps = {}
             for i in order:
                 state = 0
                 for j, sym in enumerate(seqs[i]):
-                    state, lp = table.step(state, index(sym))
+                    state, lp = step(state, index(sym))
                     steps[i, j] = (state, lp)
             return steps
 
