@@ -17,12 +17,14 @@ from .core import (
     EmptyTurnError,
     EmptyWordError,
     EncodingScheme,
+    InvalidArgumentError,
     Marker,
     ProminentTone,
     ProsodicWord,
     Tone,
     TonosegError,
     Turn,
+    UnknownSchemeError,
     UnknownToneError,
     decode_turn,
     encode_corpus,

@@ -36,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise TonosegError(f"{path}: not UTF-8 text: {err}") from None
 
 
 def _write(path: str | None, text: str):
@@ -196,10 +199,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (TonosegError, KeyError, ValueError, OSError) as err:
+    except (TonosegError, OSError) as err:
         print(f"tonoseg: error: {err}", file=sys.stderr)
         return 2
-    except Exception as err:  # pragma: no cover - invariant violations
+    except Exception as err:  # a bug, not bad input
         print(f"tonoseg: internal error: {err!r}", file=sys.stderr)
         return 3
 

@@ -54,6 +54,14 @@ class AlphabetError(TonosegError):
     """A symbol outside the active scheme's alphabet."""
 
 
+class InvalidArgumentError(TonosegError, ValueError):
+    """An argument or setting outside its valid range."""
+
+
+class UnknownSchemeError(TonosegError, KeyError):
+    """A scheme id that is not registered."""
+
+
 class Tone(str, Enum):
     """The eight tone labels.
 
@@ -234,7 +242,7 @@ def get_scheme(scheme_id: str) -> EncodingScheme:
         return _SCHEME_REGISTRY[scheme_id]
     except KeyError:
         known = ", ".join(scheme_ids())
-        raise KeyError(f"unknown scheme {scheme_id!r} (known: {known})") from None
+        raise UnknownSchemeError(f"unknown scheme {scheme_id!r} (known: {known})") from None
 
 
 for _s in (FLAT, HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Corpus, TonosegError
+from .core import Corpus, InvalidArgumentError, TonosegError
 from .segment import SegmentationResult, _spans_from_vectors
 
 
@@ -111,9 +111,9 @@ def baseline_segment(
     model score, so log-probabilities are NaN.
     """
     if strategy not in ("none", "all", "random"):
-        raise ValueError(f"unknown baseline strategy {strategy!r}")
+        raise InvalidArgumentError(f"unknown baseline strategy {strategy!r}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"boundary probability must be in [0, 1], got {p}")
+        raise InvalidArgumentError(f"boundary probability must be in [0, 1], got {p}")
     rng = random.Random(seed)
     results = []
     for stream in streams:

@@ -28,6 +28,7 @@ from .core import (
     Tone,
     TonosegError,
     Turn,
+    UnknownSchemeError,
     UnknownToneError,
     get_scheme,
 )
@@ -197,7 +198,7 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
         raise SchemeMismatchError(f"model scheme {scheme_id!r}, expected {expected_scheme!r}")
     try:
         scheme = get_scheme(scheme_id)
-    except KeyError as err:
+    except UnknownSchemeError as err:
         raise SchemeMismatchError(err.args[0]) from None
 
     _, config_line = next_line("config line")
@@ -264,7 +265,11 @@ def parse_segmentation(text: str) -> list[SegmentationResult]:
             sm = _SPAN.match(token)
             if not sm:
                 raise SegmentationFormatError(f"bad span token {token!r}", line_no, col)
-            spans.append(WordSpan(int(sm.group(1)), int(sm.group(2)), sm.group(3) == "*"))
+            try:
+                start, end = int(sm.group(1)), int(sm.group(2))
+            except ValueError:  # a bound past int's digit limit
+                raise SegmentationFormatError(f"bad span token {token!r}", line_no, col) from None
+            spans.append(WordSpan(start, end, sm.group(3) == "*"))
         try:
             results.append(SegmentationResult(tuple(spans), math.nan))
         except TonosegError as err:

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import AlphabetError, EncodingScheme, TonosegError, context_text
+from .core import AlphabetError, EncodingScheme, InvalidArgumentError, TonosegError, context_text
 
 MAX_DEPTH = 64  # a grammar's ``_powers`` cost time and memory quadratic in its depth
 
@@ -44,11 +44,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 <= self.max_depth <= MAX_DEPTH:
-            raise ValueError(f"max_depth must be in [0, {MAX_DEPTH}], got {self.max_depth}")
+            raise InvalidArgumentError(f"max_depth must be in [0, {MAX_DEPTH}], got {self.max_depth}")
         if self.min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
+            raise InvalidArgumentError(f"min_count must be >= 1, got {self.min_count}")
         if not (math.isfinite(self.smoothing) and self.smoothing >= 0):
-            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
+            raise InvalidArgumentError(f"smoothing must be finite and >= 0, got {self.smoothing}")
 
 
 class _Node:
@@ -97,15 +97,16 @@ class PatternGrammar:
     The counts are immutable once trained.  The decoders score through
     the grammar's context automaton (see ``step``), whose entries the
     grammar fills lazily, one (state, symbol) entry on first use, and
-    keeps across calls.  ``log_prob``, ``conditional`` and the entropy
-    functions never touch them.
+    keeps across calls, beside the Viterbi decoder's rows of entries
+    (``_rows``, see ``segment.segment_turn``).  ``log_prob``,
+    ``conditional`` and the entropy functions never touch them.
 
     Queries are safe from any number of threads without a lock.  An
-    automaton entry is a pure function of the counts and its state is a
-    context key, not a fill order, so threads that build the prefix
-    closure or an entry at once build equal ones, and whichever is
-    stored gives every thread the same states and the same bitwise
-    scores.
+    automaton entry or a row is a pure function of the counts and its
+    state is a context key, not a fill order, so threads that build the
+    prefix closure, an entry or a row at once build equal ones, and
+    whichever is stored gives every thread the same states and the same
+    bitwise scores.
     """
 
     def __init__(self, scheme: EncodingScheme, config: TrainConfig):
@@ -123,6 +124,8 @@ class PatternGrammar:
         # The automaton (see ``step``): its prefix closure, built on the first miss, and entries.
         self._closure: dict[int, _Node] | None = None
         self._entries: dict[int, tuple[int, float]] = {}
+        # The decoder's rows (see ``segment.segment_turn``), filled like the entries.
+        self._rows: dict[int, tuple] = {}
 
     # -- structure ----------------------------------------------------
 
@@ -376,7 +379,7 @@ def marginal_entropy(sequences: Iterable[Sequence], n_categories: int) -> tuple[
     ln(n_categories) for an equiprobable one.
     """
     if n_categories < 2:
-        raise ValueError(f"n_categories must be >= 2, got {n_categories}")
+        raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
     counts: dict = {}
     total = 0
     for seq in sequences:
@@ -384,7 +387,7 @@ def marginal_entropy(sequences: Iterable[Sequence], n_categories: int) -> tuple[
             counts[sym] = counts.get(sym, 0) + 1
             total += 1
     if total == 0:
-        raise ValueError("cannot measure entropy of an empty symbol stream")
+        raise InvalidArgumentError("cannot measure entropy of an empty symbol stream")
     h = 0.0
     for c in counts.values():
         p = c / total
@@ -407,7 +410,7 @@ def model_entropy(
     if n_categories is None:
         n_categories = grammar.scheme.size
     if n_categories < 2:
-        raise ValueError(f"n_categories must be >= 2, got {n_categories}")
+        raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
     total = 0.0
     positions = 0
     for si, seq in enumerate(sequences):
@@ -419,7 +422,7 @@ def model_entropy(
             total -= lp
             positions += 1
     if positions == 0:
-        raise ValueError("cannot measure entropy of an empty symbol stream")
+        raise InvalidArgumentError("cannot measure entropy of an empty symbol stream")
     h = total / positions
     return h, h / math.log(n_categories)
 
@@ -427,8 +430,8 @@ def model_entropy(
 def normalized_entropy(h: float, n_categories: int, tolerance: float = 1e-9) -> float:
     """Map an entropy in [0, ln N] onto [0, 1]."""
     if n_categories < 2:
-        raise ValueError(f"n_categories must be >= 2, got {n_categories}")
+        raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
     hmax = math.log(n_categories)
     if h < -tolerance or h > hmax + tolerance:
-        raise ValueError(f"entropy {h} outside [0, {hmax:.6f}] for {n_categories} categories")
+        raise InvalidArgumentError(f"entropy {h} outside [0, {hmax:.6f}] for {n_categories} categories")
     return min(max(h, 0.0), hmax) / hmax

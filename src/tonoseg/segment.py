@@ -5,8 +5,9 @@ words (and, under a prominence-marking scheme, every prominence
 assignment) yields one encoded symbol sequence; the decoder returns a
 placement maximizing the chain-rule score.  ``brute_force_segment``
 enumerates the candidates outright and is the oracle the decoder is
-tested against.  Both score through the grammar's context automaton
-(``PatternGrammar.step``).
+tested against.  The oracle scores each symbol through the grammar's
+context automaton (``PatternGrammar.step``); the decoder reads rows of
+the same automaton's entries.
 
 ``segment_turn`` is a Viterbi pass.  After each tone it keeps one
 entry per merge state: the last ``max_depth`` symbols (the window: the
@@ -17,6 +18,16 @@ partial candidates in the same merge state score every continuation
 alike and only the better one is kept.  The number of merge states
 depends on ``max_depth``, not on the turn length (at most 8 per tone on
 the default depth under ``hierprom``).
+
+After the first tone, an entry expands by one row per tone: the chain
+of ``step`` calls for its automaton state and the tone, computed on first use and kept on the
+grammar (``_rows``) under ``state * size +`` the plain tone symbol's
+index.  The row is one flat tuple: for each prominence option the
+continuation's (target, ln P); then the word close's ln P; then for each
+option the new word opener's ln P, the target after the tone and the
+tone's ln P.  Like an automaton entry, a row is a pure function of the
+immutable counts, stored whole, so threads that race on it store equal
+tuples.  Its floats are the automaton's own, added in emission order.
 
 Ties are broken deterministically: higher score first, then fewer
 words, then the lexicographically smallest boundary vector, then the
@@ -33,14 +44,16 @@ n costs O(n / 30) machine words on top of its constant work and a turn
 costs O(n**2 / 30) in all.  The cost per tone is flat up to a few
 thousand tones (the longest turns the benchmark and the linearity test
 decode) and grows slowly beyond: under ``hierprom`` on a 2-CPU machine,
-about 25 µs per tone at 200 and 3200 tones, 25-27 at 12,800 and 26-29
-at 27,800 tones (in the benchmark's reference seconds).
+about 9-10 µs per tone at 200 and 3200 tones, 10-11 at 12,800 and
+12-14 at 25,300 tones (in the benchmark's reference seconds, default
+``TrainConfig`` on 20,000 planted-cue words).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import EncodingScheme, Marker, Tone, TonosegError
@@ -181,6 +194,57 @@ def brute_force_segment(
     return best
 
 
+@lru_cache(maxsize=None)
+def _layout(scheme: EncodingScheme) -> tuple:
+    """``segment_turn``'s per-scheme constants, computed once per scheme:
+    the word-close index, the word-open index per prominence option, the
+    turn-open and turn-close indexes, and ``_tone``'s constants of each
+    tone whose symbols the scheme has."""
+    index = scheme.index
+    options = _prominence_options(scheme)
+    close = index(Marker.WORD_CLOSE)
+    opens = tuple(index(scheme.word_open_symbol(p)) for p in options)
+    tones = {
+        t: _tone(scheme, t, close, opens)
+        for t in Tone
+        if all(scheme.tone_symbol(t, p) in scheme for p in options)
+    }
+    return close, opens, index(Marker.TURN_OPEN), index(Marker.TURN_CLOSE), tones
+
+
+def _tone(scheme: EncodingScheme, tone: Tone, close: int, opens: tuple) -> tuple:
+    """A tone's constants in ``segment_turn``: its row-key offset (the plain
+    tone symbol's index), its symbol index per prominence option, per option
+    the row index of the continuation's target and the window digit it
+    appends, and per option the row index of the new word's open ln P and
+    the window digits that the close, the open and the tone append."""
+    syms = tuple(scheme.index(scheme.tone_symbol(tone, p)) for p in _prominence_options(scheme))
+    base = scheme.size + 1
+    continues = tuple((2 * p, a + 1) for p, a in enumerate(syms))
+    news = tuple(
+        (p, 2 * len(opens) + 1 + 3 * p, ((close + 1) * base + opens[p] + 1) * base + a + 1)
+        for p, a in enumerate(syms)
+    )
+    return syms[0], syms, continues, news
+
+
+def _row(grammar: PatternGrammar, state: int, syms: tuple, close: int, opens: tuple) -> tuple:
+    """Compute and store the row of ``state`` and a tone whose symbol index
+    per prominence option is ``syms`` (see ``segment_turn``)."""
+    step = grammar.step
+    row = []
+    for a in syms:
+        row += step(state, a)
+    closed, lp = step(state, close)
+    row.append(lp)
+    for a, word_open in zip(syms, opens):
+        opened, lp = step(closed, word_open)
+        row.append(lp)
+        row += step(opened, a)
+    row = grammar._rows[state * grammar._size + syms[0]] = tuple(row)
+    return row
+
+
 def segment_turn(
     grammar: PatternGrammar,
     tones: Sequence[Tone],
@@ -188,67 +252,63 @@ def segment_turn(
 ) -> SegmentationResult:
     """Maximum-score boundary (and prominence) placement, by exact DP.
 
-    See the module docstring for the merge state and the integer key.
-    Prefix scores accumulate symbol by symbol in emission order, which
-    keeps them bitwise equal to ``sequence_log_probability`` of the same
-    candidate.
+    See the module docstring for the merge state, the integer key and
+    the rows.  Prefix scores accumulate symbol by symbol in emission
+    order, which keeps them bitwise equal to ``sequence_log_probability``
+    of the same candidate.
     """
     _check_inputs(grammar, tones, scheme)
-    step = grammar.step
-    index = scheme.index
-    base = scheme.size + 1
-    modulus = base**grammar.config.max_depth
-    options = _prominence_options(scheme)
-    close = index(Marker.WORD_CLOSE)
-    opens = [index(scheme.word_open_symbol(p)) for p in options]
-    tone_syms = {t: [index(scheme.tone_symbol(t, p)) for p in options] for t in set(tones)}
+    close, opens, turn_open, turn_close, known = _layout(scheme)
+    step, rows, size = grammar.step, grammar._rows, grammar._size
+    base = size + 1
+    wrap = base**3  # a close, an open and a tone
+    modulus = grammar._powers[-1]
+    closing = 2 * len(opens)  # a row's index of the word close's ln P
 
     # An entry is (score, words, boundary bits, prominence bits, window,
     # automaton state).  The window is the grammar's context key of the
-    # last max_depth symbols.  The first entry has read the turn opener
-    # and no tone.
-    turn_open = index(Marker.TURN_OPEN)
+    # last max_depth symbols.  The first tone opens the first word.
     state, lp = step(0, turn_open)
-    entries = [(lp, 0, 0, 0, (turn_open + 1) % modulus, state)]
+    window = (turn_open + 1) % modulus
+    syms = (known.get(tones[0]) or _tone(scheme, tones[0], close, opens))[1]
+    entries = []
+    for p, a in enumerate(syms):
+        opened, lp1 = step(state, opens[p])
+        target, lp2 = step(opened, a)
+        w = ((window * base + opens[p] + 1) % modulus * base + a + 1) % modulus
+        entries.append((lp + lp1 + lp2, 1, 1, p, w, target))
 
-    for tone in tones:
-        syms = tone_syms[tone]
-        merged: dict = {}  # (window, prominent) -> best candidate
-
-        def offer(candidate):
-            key = candidate[4] * 2 + (candidate[3] & 1)
-            old = merged.get(key)
-            if (
-                old is None
-                or candidate[0] > old[0]
-                or (candidate[0] == old[0] and candidate[1:4] < old[1:4])
-            ):
-                merged[key] = candidate
-
+    for tone in islice(tones, 1, None):
+        k, syms, continues, news = known.get(tone) or _tone(scheme, tone, close, opens)
+        merged: dict = {}  # window * 2 + prominence -> best candidate
+        get = merged.get
         for score, words, bits, pbits, window, state in entries:
+            row = rows.get(state * size + k) or _row(grammar, state, syms, close, opens)
             bits <<= 1
-            if words:
-                # continue the current word
-                a = syms[pbits & 1]
-                target, lp = step(state, a)
-                offer((score + lp, words, bits, pbits,
-                       (window * base + a + 1) % modulus, target))
-                # or close it
-                state, lp = step(state, close)
-                score += lp
-                window = (window * base + close + 1) % modulus
-            # open a new word
-            for prom in options:
-                opened, lp = step(state, opens[prom])
-                s1 = score + lp
-                w1 = (window * base + opens[prom] + 1) % modulus
-                a = syms[prom]
-                target, lp = step(opened, a)
-                offer((s1 + lp, words + 1, bits | 1, pbits << 1 | prom,
-                       (w1 * base + a + 1) % modulus, target))
+            # continue the current word
+            p = pbits & 1
+            i, digit = continues[p]
+            s = score + row[i + 1]
+            w = (window * base + digit) % modulus
+            key = w * 2 + p
+            old = get(key)
+            if old is None or s > old[0] or (s == old[0] and (words, bits, pbits) < old[1:4]):
+                merged[key] = (s, words, bits, pbits, w, row[i])
+            # or close it and open a new word
+            score += row[closing]
+            window *= wrap
+            words += 1
+            bits |= 1
+            pbits <<= 1
+            for p, i, digits in news:
+                s = score + row[i] + row[i + 2]
+                w = (window + digits) % modulus
+                key = w * 2 + p
+                old = get(key)
+                if old is None or s > old[0] or (s == old[0] and (words, bits, pbits | p) < old[1:4]):
+                    merged[key] = (s, words, bits, pbits | p, w, row[i + 1])
         entries = merged.values()
 
-    turn_close = index(Marker.TURN_CLOSE)
     finals = []
     for score, words, bits, pbits, _, state in entries:
         closed, lp = step(state, close)

@@ -20,6 +20,7 @@ from .core import (
     HIERARCHICAL,
     Corpus,
     EncodingScheme,
+    InvalidArgumentError,
     Marker,
     ProsodicWord,
     Tone,
@@ -133,7 +134,11 @@ class PlantedGrammar:
 
     @classmethod
     def from_json(cls, text: str) -> "PlantedGrammar":
-        return cls.from_mapping(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise SpecError(f"spec is not valid JSON: {err}") from None
+        return cls.from_mapping(data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_mapping(), indent=2, sort_keys=True) + "\n"
@@ -157,7 +162,7 @@ def sample_corpus(planted: PlantedGrammar, n_words: int, seed: int | None = None
     is part of the format: same seed, same corpus, bit for bit.
     """
     if n_words < 1:
-        raise ValueError(f"n_words must be >= 1, got {n_words}")
+        raise InvalidArgumentError(f"n_words must be >= 1, got {n_words}")
     rng = random.Random(planted.seed if seed is None else seed)
     turn_sizes = []
     remaining = n_words

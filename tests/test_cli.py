@@ -263,6 +263,52 @@ def test_malformed_spec_exit_2(tmp_path, capsys, document, message):
     assert not out.exists()
 
 
+def test_spec_not_json_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"word_lengths": ')
+    out = tmp_path / "corpus.txt"
+    assert main(["synth", "--spec", str(spec), "--words", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("tonoseg: error: spec is not valid JSON: ")
+    assert not out.exists()
+
+
+def test_words_below_one_exit_2(tmp_path, capsys, spec_file):
+    out = tmp_path / "corpus.txt"
+    assert main(["synth", "--spec", str(spec_file), "--words", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "tonoseg: error: n_words must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_input_not_utf8_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"tonoseg-corpus v1\n( T \xff )\n")
+    out = tmp_path / "model.txt"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"tonoseg: error: {corpus}: not UTF-8 text: ")
+    assert not out.exists()
+
+
+def test_span_past_int_digit_limit_exit_2(tmp_path, capsys, spec_file):
+    corpus, _, seg, _ = run_pipeline(tmp_path, spec_file)
+    seg.write_text("0-" + "9" * 5000 + "\n")
+    assert main(["eval", "--reference", str(corpus), "--predicted", str(seg)]) == 2
+    assert capsys.readouterr().err.startswith("tonoseg: error: line 1, column 1: bad span token '0-999")
+
+
+def test_stray_key_error_is_internal_exit_3(tmp_path, monkeypatch, capsys):
+    # A KeyError no input check raised is a bug, not bad input.
+    from tonoseg import cli
+
+    def broken(text):
+        raise KeyError("stray")
+
+    monkeypatch.setattr(cli, "parse_corpus", broken)
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    assert main(["encode", "--scheme", "flat", "--corpus", str(corpus)]) == 3
+    assert capsys.readouterr().err == "tonoseg: internal error: KeyError('stray')\n"
+
+
 def test_scheme_choices_follow_the_registry(tmp_path, monkeypatch, capsys):
     # --scheme choices are read when the parser is built, not at import.
     monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))

@@ -83,8 +83,9 @@ def test_registry(monkeypatch):
     # A copy of the registry, restored after the test, takes the new scheme.
     monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))
     assert get_scheme("hier") is HIERARCHICAL
-    with pytest.raises(KeyError):
+    with pytest.raises(core.UnknownSchemeError) as exc:
         get_scheme("nope")
+    assert isinstance(exc.value, KeyError) and isinstance(exc.value, core.TonosegError)
     custom = EncodingScheme("toy-xy", ("X", "Y"))
     register_scheme(custom)
     assert get_scheme("toy-xy") is custom

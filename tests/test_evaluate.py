@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tonoseg.core import Corpus
+from tonoseg.core import Corpus, InvalidArgumentError
 from tonoseg.evaluate import (
     ConfusionMatrix,
     EvaluationError,
@@ -169,9 +169,9 @@ def test_baseline_random_reproducible():
 
 
 def test_baseline_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         baseline_segment([("T",)], "sometimes")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         baseline_segment([("T",)], "random", p=1.5)
     with pytest.raises(EvaluationError):
         baseline_segment([()], "none")

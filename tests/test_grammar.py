@@ -12,6 +12,7 @@ from tonoseg.core import (
     HIERARCHICAL,
     AlphabetError,
     EncodingScheme,
+    InvalidArgumentError,
     TonosegError,
     encode_corpus,
     get_scheme,
@@ -44,10 +45,11 @@ def ab_grammar(max_depth=1, min_count=1, smoothing=0.0):
 def test_train_config_defaults_and_validation():
     cfg = TrainConfig()
     assert (cfg.max_depth, cfg.min_count, cfg.smoothing) == (4, 2, 0.5)
-    with pytest.raises(ValueError):
-        TrainConfig(max_depth=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(min_count=0)
+    # Typed input errors that stay ValueErrors for callers that catch those.
+    for bad in ({"max_depth": -1}, {"min_count": 0}):
+        with pytest.raises(InvalidArgumentError) as exc:
+            TrainConfig(**bad)
+        assert isinstance(exc.value, ValueError) and isinstance(exc.value, TonosegError)
     for smoothing in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             TrainConfig(smoothing=smoothing)
@@ -239,10 +241,12 @@ def test_marginal_entropy_211():
 
 
 def test_marginal_entropy_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         marginal_entropy([["A"]], 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         marginal_entropy([], 4)
+    with pytest.raises(InvalidArgumentError):
+        model_entropy(ab_grammar(smoothing=0.5), [AB_SEQUENCE], 1)
 
 
 def test_model_entropy_uniform_grammar():

@@ -358,6 +358,70 @@ def test_table_states_are_context_keys():
             assert lp == first.log_prob(seqs[i][j], seqs[i][:j])
 
 
+def _row_bits(rows):
+    """Rows with each float as its exact bits."""
+    return {k: tuple(x.hex() if isinstance(x, float) else x for x in row) for k, row in rows.items()}
+
+
+def _decode_streams(rng, n=30, longest=25):
+    return [tuple(rng.choice(TONES) for _ in range(rng.randint(1, longest))) for _ in range(n)]
+
+
+def test_rows_are_chains_of_steps():
+    # A row holds, for one automaton state and tone, what the chain of
+    # step calls it stands for returns, bit for bit: per prominence option
+    # the continuation, then the word close, then per option the opener and
+    # the tone.  The chain is re-stepped on a fresh copy of the grammar, so
+    # no row and no entry is shared.
+    rng = random.Random(46)
+    texts = [
+        save_model(trained(scheme, rng, n_turns=16, depth=depth, min_count=min_count))
+        for scheme in (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
+        for depth, min_count in ((2, 1), (4, 2))
+    ] + [NOT_PREFIX_CLOSED]
+    for text in texts:
+        g = load_model(text)
+        scheme = g.scheme
+        for stream in _decode_streams(rng):
+            segment_turn(g, stream, scheme)
+        assert g._rows
+        fresh = load_model(text)
+        index, size = scheme.index, scheme.size
+        options = (False, True) if scheme.prominence != "none" else (False,)
+        by_plain = {index(t): t for t in Tone}
+        for key in g._rows:
+            state, tone = key // size, by_plain[key % size]
+            syms = [index(scheme.tone_symbol(tone, p)) for p in options]
+            chain = [x for a in syms for x in fresh.step(state, a)]
+            closed, lp = fresh.step(state, index(Marker.WORD_CLOSE))
+            chain.append(lp)
+            for p, a in zip(options, syms):
+                opened, lp = fresh.step(closed, index(scheme.word_open_symbol(p)))
+                chain.append(lp)
+                chain.extend(fresh.step(opened, a))
+            assert _row_bits({key: g._rows[key]}) == _row_bits({key: tuple(chain)})
+
+
+def test_rows_do_not_depend_on_decode_order():
+    # Like the automaton's entries, rows are keyed by context key and
+    # tone, not by fill order: fresh grammars that decode the same turns
+    # in opposite orders end with the same rows, bit for bit.
+    rng = random.Random(47)
+    texts = [
+        save_model(trained(HIERARCHY_PROMINENCE, rng, n_turns=20, depth=3, min_count=2)),
+        save_model(trained(HIERARCHY_PROMINENCE_TONES, rng, n_turns=20, depth=4, min_count=1)),
+        NOT_PREFIX_CLOSED,
+    ]
+    for text in texts:
+        first, second = load_model(text), load_model(text)
+        streams = _decode_streams(rng)
+        want = [segment_turn(first, s, first.scheme) for s in streams]
+        got = [segment_turn(second, s, second.scheme) for s in reversed(streams)]
+        assert got[::-1] == want
+        assert _row_bits(second._rows) == _row_bits(first._rows)
+        assert second._entries == first._entries
+
+
 def test_threads_share_one_fresh_grammar():
     rng = random.Random(42)
     g = trained(HIERARCHY_PROMINENCE, rng, n_turns=20, depth=4)
@@ -383,14 +447,17 @@ def test_threads_share_one_fresh_grammar():
 
 
 def test_grammar_pickles_after_decoding():
-    # The table filled by decoding travels with the grammar; copies must
-    # decode as the original does, and a fresh grammar must pickle too.
+    # The table and the rows filled by decoding travel with the grammar;
+    # copies must decode as the original does, and a fresh grammar must
+    # pickle too.
     rng = random.Random(44)
     g = trained(HIERARCHY_PROMINENCE, rng, n_turns=12, depth=4)
     streams = [tuple(rng.choice(TONES) for _ in range(rng.randint(1, 30))) for _ in range(20)]
     want = [segment_turn(g, s, HIERARCHY_PROMINENCE) for s in streams]
+    assert g._rows
     for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert save_model(clone) == save_model(g)
+        assert _row_bits(clone._rows) == _row_bits(g._rows)
         assert [segment_turn(clone, s, HIERARCHY_PROMINENCE) for s in streams] == want
     fresh = pickle.loads(pickle.dumps(load_model(save_model(g))))
     assert [segment_turn(fresh, s, HIERARCHY_PROMINENCE) for s in streams] == want

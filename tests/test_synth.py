@@ -7,6 +7,7 @@ import pytest
 from tonoseg.core import (
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
+    InvalidArgumentError,
     Marker,
     Tone,
     TonosegError,
@@ -81,7 +82,7 @@ def test_exact_word_counts():
 
 
 def test_n_words_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         sample_corpus(RICH, 0)
 
 
