@@ -3,8 +3,10 @@ turn > prosodic-word hierarchy.
 
 A corpus is a list of turns; a turn is a non-empty list of prosodic
 words; a word is a non-empty list of tone labels plus a prominence
-flag.  Encoding schemes linearize a turn into a flat symbol sequence
-(and back, where invertible).
+flag.  Encoding schemes linearize a turn into a flat symbol sequence.
+That encoding is defined once, in ``encode_words``: ``encode_turn``
+and the segmentation oracle call it, and ``decode_turn`` accepts
+exactly the sequences it produces.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class TonosegError(Exception):
@@ -43,7 +45,8 @@ class EmptyTurnError(PositionedError):
 
 
 class DecodeError(TonosegError):
-    """Malformed symbol sequence; ``index`` points at the first offender."""
+    """Malformed symbol sequence; ``index`` is the first position where the
+    input differs from the re-encoding of the words read from it."""
 
     def __init__(self, message: str, index: int):
         self.index = index
@@ -311,17 +314,19 @@ class Corpus:
         return sum(t.tone_count for t in self.turns)
 
 
-def encode_turn(turn: Turn, scheme: EncodingScheme) -> list:
-    """Linearize a turn into the scheme's symbol sequence.
+def encode_words(words: Iterable, scheme: EncodingScheme) -> list:
+    """Linearize a turn's words into the scheme's symbol sequence: the one
+    definition of the encoding, which ``decode_turn`` inverts.
 
-    Flat drops word boundaries entirely; the hierarchical schemes wrap
-    each word in open/close markers, with prominence carried per the
-    scheme's prominence style.
+    ``words`` may be any objects with ``tones`` and ``prominent``.  Flat
+    drops word boundaries entirely; the hierarchical schemes wrap each
+    word in open/close markers, with prominence carried per the scheme's
+    prominence style.
     """
     if Marker.TURN_OPEN not in scheme or Marker.TURN_CLOSE not in scheme:
         raise AlphabetError(f"scheme {scheme.scheme_id!r} has no turn markers")
     out: list = [Marker.TURN_OPEN]
-    for word in turn.words:
+    for word in words:
         if scheme.word_markers:
             out.append(scheme.word_open_symbol(word.prominent))
             out.extend(scheme.tone_symbol(t, word.prominent) for t in word.tones)
@@ -332,74 +337,62 @@ def encode_turn(turn: Turn, scheme: EncodingScheme) -> list:
     return out
 
 
+def encode_turn(turn: Turn, scheme: EncodingScheme) -> list:
+    """Linearize a turn into the scheme's symbol sequence (``encode_words``)."""
+    return encode_words(turn.words, scheme)
+
+
 def encode_corpus(corpus: Corpus, scheme: EncodingScheme) -> list:
     """One encoded sequence per turn, order preserved."""
-    return [encode_turn(t, scheme) for t in corpus.turns]
+    return [encode_words(t.words, scheme) for t in corpus.turns]
+
+
+# What a tone symbol reads as: its tone, and whether it marks prominence.
+_READ_TONE = {**{t: (t, False) for t in Tone}, **{p: (p.base, True) for p in ProminentTone}}
 
 
 def decode_turn(symbols: Sequence, scheme: EncodingScheme) -> Turn:
     """Invert ``encode_turn`` for word-marking schemes.
 
-    Flat sequences carry no word boundaries and are rejected; malformed
-    nesting raises ``DecodeError`` naming the first offending index.
+    Words are read off the symbols without checks, up to the first ``]``:
+    each run of tone symbols is a word, prominent if ``*(`` precedes it
+    or, under ``hierprom-tones``, it holds a lowercase tone.  They are
+    accepted only if ``encode_words`` gives back exactly ``symbols``;
+    otherwise ``DecodeError`` names the first index where the input
+    differs from that re-encoding.  So nesting, empty words, trailing
+    symbols, mixed-case words and foreign symbols are all rejected by
+    the one encoder.  Flat sequences carry no word boundaries and are
+    rejected at index 0.
     """
     if not scheme.word_markers:
         raise DecodeError(
             f"scheme {scheme.scheme_id!r} does not mark words; encoding is not invertible", 0
         )
-    if not symbols:
-        raise DecodeError("empty sequence", 0)
-    if symbols[0] != Marker.TURN_OPEN:
-        raise DecodeError("expected turn-open symbol", 0)
-
+    symbols = list(symbols)
+    lowercase_marks = scheme.prominence == "tones"
     words: list[ProsodicWord] = []
     tones: list[Tone] = []
-    cases: set[bool] = set()  # prominence signals seen inside current word
-    in_word = False
-    word_prominent = False
-    closed = False
-
-    for i, sym in enumerate(symbols[1:], start=1):
-        if closed:
-            raise DecodeError("symbols after turn-close", i)
-        if sym not in scheme:
-            raise DecodeError(f"symbol {sym!r} not in scheme alphabet", i)
-        if sym == Marker.TURN_OPEN:
-            raise DecodeError("nested turn-open", i)
-        if sym in (Marker.WORD_OPEN, Marker.PROM_WORD_OPEN):
-            if in_word:
-                raise DecodeError("word opened inside a word", i)
-            in_word = True
-            word_prominent = sym == Marker.PROM_WORD_OPEN
-            cases = set()
+    prominent = False
+    for sym in [*symbols, Marker.TURN_CLOSE]:  # the sentinel ends a last open word
+        read = _READ_TONE.get(sym) if isinstance(sym, str) else None
+        if read:
+            tones.append(read[0])
+            prominent = prominent or read[1] and lowercase_marks
+            continue
+        if tones:
+            words.append(ProsodicWord(tuple(tones), prominent))
             tones = []
-        elif sym == Marker.WORD_CLOSE:
-            if not in_word:
-                raise DecodeError("word-close without matching open", i)
-            if not tones:
-                raise DecodeError("empty word", i)
-            if scheme.prominence == "tones":
-                if len(cases) > 1:
-                    raise DecodeError("word mixes prominent and plain tones", i)
-                word_prominent = cases.pop()
-            words.append(ProsodicWord(tuple(tones), word_prominent))
-            in_word = False
-        elif sym == Marker.TURN_CLOSE:
-            if in_word:
-                raise DecodeError("unclosed word at turn-close", i)
-            closed = True
-        elif isinstance(sym, ProminentTone):
-            if not in_word:
-                raise DecodeError("tone outside a word", i)
-            cases.add(True)
-            tones.append(sym.base)
-        else:
-            if not in_word:
-                raise DecodeError("tone outside a word", i)
-            cases.add(False)
-            tones.append(Tone(sym))
-    if not closed:
-        raise DecodeError("missing turn-close", len(symbols))
+        if sym == Marker.TURN_CLOSE:
+            break
+        prominent = sym == Marker.PROM_WORD_OPEN
+    encoded = encode_words(words, scheme)
+    for i, (want, got) in enumerate(zip(encoded, symbols)):
+        if want != got:
+            raise DecodeError(f"expected {want!s}, got {got!r}", i)
+    if len(symbols) < len(encoded):
+        raise DecodeError(f"expected {encoded[len(symbols)]!s}, got end of sequence", len(symbols))
+    if len(symbols) > len(encoded):
+        raise DecodeError("symbols after turn-close", len(encoded))
     if not words:
         raise DecodeError("turn contains no words", len(symbols) - 1)
     return Turn(tuple(words))

@@ -96,10 +96,10 @@ def parse_corpus(text: str) -> Corpus:
     for line_no, line in lines:
         if line.lstrip().startswith("@"):
             body = line.strip()[1:]
-            key, _, value = body.partition(" ")
-            if not key:
+            if not body[:1].strip():
                 raise CorpusFormatError("metadata line has no key", line_no, 1)
-            metadata[key] = value.strip()
+            key, *value = body.split(maxsplit=1)  # at any whitespace, as the tokenizer
+            metadata[key] = value[0] if value else ""
             continue
         turns.append(_parse_turn_line(line, line_no))
     return Corpus(tuple(turns), metadata)
@@ -144,7 +144,7 @@ def serialize_corpus(corpus: Corpus) -> str:
         value = corpus.metadata[key]
         if not re.fullmatch(r"\S+", key):
             raise TonosegError(f"metadata key {key!r} must be a single token")
-        if "\n" in value or value != value.strip():
+        if len(value.splitlines()) > 1 or value != value.strip():
             raise TonosegError(f"metadata value for {key!r} must be a single trimmed line")
         out.append(f"@{key} {value}".rstrip())
     for turn in corpus.turns:

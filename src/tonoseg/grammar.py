@@ -432,6 +432,6 @@ def normalized_entropy(h: float, n_categories: int, tolerance: float = 1e-9) -> 
     if n_categories < 2:
         raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
     hmax = math.log(n_categories)
-    if h < -tolerance or h > hmax + tolerance:
+    if not -tolerance <= h <= hmax + tolerance:  # NaN fails too
         raise InvalidArgumentError(f"entropy {h} outside [0, {hmax:.6f}] for {n_categories} categories")
     return min(max(h, 0.0), hmax) / hmax

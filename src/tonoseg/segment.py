@@ -56,7 +56,7 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import EncodingScheme, Marker, Tone, TonosegError
+from .core import EncodingScheme, Marker, ProsodicWord, Tone, TonosegError, encode_words
 from .grammar import PatternGrammar
 
 
@@ -109,13 +109,7 @@ class SegmentationResult:
 
 def spans_to_symbols(tones: Sequence[Tone], spans: Sequence[WordSpan], scheme: EncodingScheme) -> list:
     """Encode a segmented tone stream as the scheme's symbol sequence."""
-    out: list = [Marker.TURN_OPEN]
-    for start, end, prominent in spans:
-        out.append(scheme.word_open_symbol(prominent))
-        out.extend(scheme.tone_symbol(t, prominent) for t in tones[start:end])
-        out.append(Marker.WORD_CLOSE)
-    out.append(Marker.TURN_CLOSE)
-    return out
+    return encode_words([ProsodicWord(tones[s:e], p) for s, e, p in spans], scheme)
 
 
 def _check_inputs(grammar: PatternGrammar, tones: Sequence[Tone], scheme: EncodingScheme):

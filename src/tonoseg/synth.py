@@ -13,6 +13,7 @@ next-symbol distribution for any prefix of an encoded turn, and
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ def _check_dist(name, dist):
         raise SpecError(f"{name}: empty support")
     if any(p < 0 for _, p in dist):
         raise SpecError(f"{name}: negative probability")
+    if not all(math.isfinite(p) for _, p in dist):
+        raise SpecError(f"{name}: non-finite probability")
     s = sum(p for _, p in dist)
     if abs(s - 1.0) > 1e-9:
         raise SpecError(f"{name}: probabilities sum to {s}, not 1")
@@ -104,7 +107,7 @@ class PlantedGrammar:
             value = data.get(key, default)
             try:
                 return parse(value)
-            except (AttributeError, TypeError, ValueError, TonosegError) as err:
+            except (AttributeError, TypeError, ValueError, OverflowError, TonosegError) as err:
                 raise SpecError(f"spec key {key!r}: {err}") from None
 
         def lengths(dist):
@@ -136,7 +139,7 @@ class PlantedGrammar:
     def from_json(cls, text: str) -> "PlantedGrammar":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:  # too deeply nested
             raise SpecError(f"spec is not valid JSON: {err}") from None
         return cls.from_mapping(data)
 

@@ -272,6 +272,26 @@ def test_spec_not_json_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spec_nested_too_deeply_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[" * 100_000)
+    out = tmp_path / "corpus.txt"
+    assert main(["synth", "--spec", str(spec), "--words", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("tonoseg: error: spec is not valid JSON: maximum recursion")
+    assert not out.exists()
+
+
+def test_nan_probability_spec_exit_2(tmp_path, capsys):
+    # Python's json reads NaN; a NaN weight is no probability.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**PLANTED_SPEC, "word_lengths": {"1": float("nan"), "2": 1.0}}))
+    assert "NaN" in spec.read_text()
+    out = tmp_path / "corpus.txt"
+    assert main(["synth", "--spec", str(spec), "--words", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "tonoseg: error: word_lengths: non-finite probability\n"
+    assert not out.exists()
+
+
 def test_words_below_one_exit_2(tmp_path, capsys, spec_file):
     out = tmp_path / "corpus.txt"
     assert main(["synth", "--spec", str(spec_file), "--words", "0", "--out", str(out)]) == 2

@@ -5,6 +5,7 @@ import pytest
 from tonoseg import core
 from tonoseg.core import (
     FLAT,
+    AlphabetError,
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
     HIERARCHY_PROMINENCE_TONES,
@@ -96,6 +97,16 @@ def test_duplicate_alphabet_rejected():
         EncodingScheme("dup", ("A", "A"))
 
 
+def test_bad_prominence_style_rejected():
+    with pytest.raises(ValueError, match=r"^bad prominence style 'loud'$"):
+        EncodingScheme("loud", ("A", "B"), prominence="loud")
+
+
+def test_index_of_foreign_symbol():
+    with pytest.raises(AlphabetError, match=r"^symbol 'X' not in alphabet of scheme 'hier'$"):
+        HIERARCHICAL.index("X")
+
+
 # -- hierarchy types ---------------------------------------------------
 
 
@@ -168,6 +179,12 @@ def test_length_arithmetic():
         assert len(encode_turn(t, HIERARCHY_PROMINENCE)) == len(encode_turn(t, HIERARCHICAL))
 
 
+def test_encode_needs_turn_markers():
+    scheme = EncodingScheme("no-turns", tuple(Tone) + (Marker.WORD_OPEN, Marker.WORD_CLOSE), True)
+    with pytest.raises(AlphabetError, match=r"^scheme 'no-turns' has no turn markers$"):
+        encode_turn(turn("H"), scheme)
+
+
 def test_alphabet_closure():
     rng = random.Random(12)
     for scheme in (FLAT, HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES):
@@ -216,14 +233,49 @@ def test_decode_malformed_cases():
             decode_turn(symbols, HIERARCHICAL)
 
 
+def test_decode_index_is_first_difference_from_reencoding():
+    to, tc, wo, wc = Marker.TURN_OPEN, Marker.TURN_CLOSE, Marker.WORD_OPEN, Marker.WORD_CLOSE
+    po = Marker.PROM_WORD_OPEN
+    h, l = Tone.HIGHER, Tone.LOWER
+    cases = [
+        ([to, wo, wc, tc], 1, "expected ], got "),           # empty word: read as no word
+        ([to, wo, h, l, wo, h, wc, tc], 4, "expected ), got "),  # word inside word
+        ([to, h, wc, tc], 1, "expected (, got "),            # tone outside a word
+        ([to, wo, h, wc], 4, "expected ], got end of sequence"),
+        ([to, wo, h, wc, tc, h], 5, "symbols after turn-close"),
+        ([to, wo, h, wc, to, wo, h, wc, tc], 4, "expected (, got "),  # nested turn-open
+        ([to, wo, h, "x", wc, tc], 3, "expected ), got 'x'"),
+        ([to, po, h, wc, tc], 1, "expected (, got "),        # no prominence marker in hier
+        ([], 0, "expected [, got end of sequence"),
+        ([to, tc], 1, "turn contains no words"),
+    ]
+    for symbols, index, message in cases:
+        with pytest.raises(DecodeError) as exc:
+            decode_turn(symbols, HIERARCHICAL)
+        assert exc.value.index == index, symbols
+        assert str(exc.value).startswith(f"symbol {index}: {message}"), symbols
+
+
+def test_decode_plain_strings():
+    # Symbols compare as their strings, so plain strings decode like the enums.
+    assert decode_turn(["[", "(", "h", ")", "]"], HIERARCHY_PROMINENCE_TONES) == turn(("H", True))
+    assert decode_turn(["[", "(", "H", ")", "]"], HIERARCHY_PROMINENCE_TONES) == turn("H")
+    assert decode_turn(["[", "*(", "H", ")", "]"], HIERARCHY_PROMINENCE) == turn(("H", True))
+    for scheme in (HIERARCHICAL, HIERARCHY_PROMINENCE):
+        with pytest.raises(DecodeError) as exc:
+            decode_turn(["[", "(", "h", ")", "]"], scheme)
+        assert exc.value.index == 2
+
+
 def test_decode_mixed_case_word_rejected():
     symbols = [
         Marker.TURN_OPEN, Marker.WORD_OPEN,
         Tone.TOP, ProminentTone.DOWNSTEP,
         Marker.WORD_CLOSE, Marker.TURN_CLOSE,
     ]
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError) as exc:
         decode_turn(symbols, HIERARCHY_PROMINENCE_TONES)
+    assert exc.value.index == 2  # the lowercase d makes the word prominent: t expected
 
 
 def test_round_trip_random_turns():

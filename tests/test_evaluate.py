@@ -189,6 +189,12 @@ def test_report_kv_format():
     assert "degenerate=0" in text
 
 
+def test_report_table_degenerate_line():
+    text = format_report_table(metrics(ConfusionMatrix(tp=0, fp=0, fn=0, tn=7)))
+    assert text.endswith("f_measure  0.000000\n(degenerate: empty precision or recall denominator)\n")
+    assert "degenerate" not in format_report_table(metrics(ConfusionMatrix(1, 0, 0, 7)))
+
+
 def test_report_table_format():
     text = format_report_table(metrics(ConfusionMatrix(497, 190, 329, 2003)))
     for value in ("2003", "190", "329", "497", "0.723435", "0.601695", "0.656973"):

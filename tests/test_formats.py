@@ -18,6 +18,7 @@ from tonoseg.core import (
     scheme_ids,
 )
 from tonoseg.formats import (
+    CorpusFormatError,
     CorruptModelError,
     NestingError,
     SegmentationFormatError,
@@ -134,6 +135,29 @@ def test_metadata_validation():
         serialize_corpus(Corpus((turn("H"),), {"k": "line\nbreak"}))
 
 
+# Every character at which str.splitlines breaks a line.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_metadata_value_with_any_line_break_rejected(brk):
+    with pytest.raises(core.TonosegError, match=r"^metadata value for 'k' must be a single trimmed line$"):
+        serialize_corpus(Corpus((turn("H"),), {"k": f"a{brk}b"}))
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\x1f", "\xa0", "\u3000"])
+def test_metadata_splits_at_any_whitespace(space):
+    c = parse_corpus(f"{HEADER}@a{space}b{space} c\n( H )\n")
+    assert c.metadata == {"a": f"b{space} c"}
+    assert parse_corpus(serialize_corpus(c)) == c
+
+
+@pytest.mark.parametrize("line", ["@", "@ key value", "@\tkey", "  @\u3000key"])
+def test_metadata_line_without_key(line):
+    with pytest.raises(CorpusFormatError, match=r"^line 2, column 1: metadata line has no key$"):
+        parse_corpus(f"{HEADER}{line}\n")
+
+
 def test_parse_totality_fuzz():
     rng = random.Random(24)
     charset = "THX()*[]#@ \n\tabc01-"
@@ -232,6 +256,23 @@ def test_model_expected_scheme_mismatch():
     with pytest.raises(SchemeMismatchError):
         load_model(text, expected_scheme="hier")
     assert load_model(text, expected_scheme="hierprom").scheme is HIERARCHY_PROMINENCE
+
+
+@pytest.mark.parametrize(
+    "line, fault",
+    [
+        (1, "bad scheme line 'scheme'"),
+        (1, "bad scheme line 'scheme hier extra'"),
+        (1, "bad scheme line 'schema hier'"),
+        (2, "bad config line 'config 3 1'"),
+        (2, "bad config line 'configs 3 1 0.5'"),
+    ],
+)
+def test_model_bad_header_lines(line, fault):
+    lines = save_model(tiny_grammar()).splitlines()
+    lines[line] = fault.split("'")[1]
+    with pytest.raises(CorruptModelError, match=f"^{fault}$"):
+        load_model("\n".join(lines) + "\n")
 
 
 def test_model_corrupt_counts():

@@ -1,25 +1,50 @@
-"""Fuzz test of the model file reader.
+"""Fuzz and round-trip tests of the file readers and the symbol decoder.
 
-Mutated copies of saved models may only raise ``TonosegError``.  A
-grammar that loads must save and load back to the same text, and
-scoring with it may raise nothing else either.  The saved models are
-the pinned ones of ``fixtures/model_golden.json`` (four schemes, depth
-0-8).  Runs are derandomized so the suite repeats exactly.
+Mutated copies of valid documents (saved models, corpus files,
+segmentation files, planted-grammar specs) may only raise
+``TonosegError``; whatever they parse to must write and read back
+unchanged.  Random corpora and segmentations survive a write and a
+read.  ``decode_turn`` accepts exactly what ``encode_turn`` produces.
+The saved models are the pinned ones of ``fixtures/model_golden.json``
+(four schemes, depth 0-8).  Runs are derandomized so the suite repeats
+exactly.
 """
 
 import json
+import math
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tonoseg.core import TonosegError, get_scheme
-from tonoseg.formats import load_model, save_model
+from tonoseg.core import (
+    HIERARCHICAL,
+    HIERARCHY_PROMINENCE,
+    HIERARCHY_PROMINENCE_TONES,
+    Corpus,
+    DecodeError,
+    ProsodicWord,
+    TonosegError,
+    Turn,
+    decode_turn,
+    encode_turn,
+    get_scheme,
+)
+from tonoseg.formats import (
+    load_model,
+    parse_corpus,
+    parse_segmentation,
+    save_model,
+    serialize_corpus,
+    serialize_segmentation,
+)
 from tonoseg.grammar import model_entropy
-from tonoseg.segment import segment_turn
+from tonoseg.segment import SegmentationResult, WordSpan, segment_turn
+from tonoseg.synth import PlantedGrammar
 from helpers import TONES
 
 FUZZ = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+FUZZ_FAST = settings(FUZZ, max_examples=200)
 MODELS = [
     case["model"]
     for case in json.loads((Path(__file__).parent / "fixtures" / "model_golden.json").read_text())["cases"]
@@ -86,3 +111,190 @@ def test_load_model_raises_only_tonoseg_errors(text):
             score()
         except TonosegError:
             pass
+
+
+# -- text documents ------------------------------------------------------
+
+# Every character at which str.splitlines breaks a line, and other
+# whitespace the tokenizer splits at.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+SPACES = " \t\x1f\xa0\u3000"
+
+
+def text_with(*extra):
+    """Unicode text, with the given characters drawn often."""
+    return st.text(st.one_of(st.characters(), st.sampled_from("".join(extra))), max_size=8)
+
+
+@st.composite
+def mutated_text(draw, documents, alphabet):
+    """A document with a few characters inserted, deleted or replaced,
+    and a few lines dropped, duplicated or swapped."""
+    text = draw(st.sampled_from(documents))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = draw(st.sampled_from(alphabet))
+        if kind == "insert":
+            text = text[:i] + char + text[i:]
+        else:
+            text = text[:i] + (char if kind == "replace" else "") + text[i + 1 :]
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 2))):
+        i, k = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(k, lines[i])
+        else:
+            lines[i], lines[k] = lines[k], lines[i]
+    return "\n".join(lines)
+
+
+words = st.builds(ProsodicWord, st.lists(st.sampled_from(TONES), min_size=1, max_size=4), st.booleans())
+turns = st.builds(Turn, st.lists(words, min_size=1, max_size=4))
+corpora = st.builds(
+    Corpus,
+    st.lists(turns, max_size=4),
+    st.dictionaries(text_with(SPACES, "@#"), text_with(SPACES, LINE_BREAKS), max_size=3),
+)
+CORPUS_DOCUMENTS = [
+    (Path(__file__).parent / "fixtures" / "planted_cue_200w.txt").read_text()[:400],
+    "tonoseg-corpus v1\n# comment\n@speaker f01\n@note two words\n( U S ) *( T D )\n",
+]
+
+
+@FUZZ_FAST
+@given(corpora)
+def test_corpus_round_trip(corpus):
+    def one_line(value):
+        return value == value.strip() and len(value.splitlines()) <= 1
+
+    writable = all(
+        key and not any(c.isspace() for c in key) and one_line(value)
+        for key, value in corpus.metadata.items()
+    )
+    try:
+        text = serialize_corpus(corpus)
+    except TonosegError:
+        assert not writable
+        return
+    assert parse_corpus(text) == corpus
+
+
+@FUZZ_FAST
+@given(mutated_text(CORPUS_DOCUMENTS, "TMBHSLUDh()*[]@# \n" + SPACES + LINE_BREAKS))
+def test_parse_corpus_raises_only_tonoseg_errors(text):
+    try:
+        corpus = parse_corpus(text)
+    except TonosegError:
+        return
+    assert parse_corpus(serialize_corpus(corpus)) == corpus
+
+
+@st.composite
+def segmentations(draw):
+    results = []
+    for n_tones in draw(st.lists(st.integers(1, 12), max_size=4)):
+        cuts = draw(st.sets(st.integers(1, n_tones - 1))) if n_tones > 1 else set()
+        bounds = [0, *sorted(cuts), n_tones]
+        spans = [WordSpan(a, b, draw(st.booleans())) for a, b in zip(bounds, bounds[1:])]
+        results.append(SegmentationResult(spans, math.nan))
+    return results
+
+
+@FUZZ_FAST
+@given(segmentations())
+def test_segmentation_round_trip(results):
+    parsed = parse_segmentation(serialize_segmentation(results))
+    assert [r.spans for r in parsed] == [r.spans for r in results]
+
+
+@FUZZ_FAST
+@given(mutated_text(["0-2 2-3*\n0-1\n# c\n0-1* 1-4\n"], "0123456789-* \n#x" + SPACES + LINE_BREAKS))
+def test_parse_segmentation_raises_only_tonoseg_errors(text):
+    try:
+        results = parse_segmentation(text)
+    except TonosegError:
+        return
+    again = parse_segmentation(serialize_segmentation(results))
+    assert [r.spans for r in again] == [r.spans for r in results]
+
+
+SPEC = (Path(__file__).parent.parent / "demos" / "planted_example.json").read_text()
+SPEC_VALUES = (
+    "NaN", "Infinity", "-Infinity", "-0.5", "0", "1", "1.0", "1e308", "5e-324", "1e400",
+    '"x"', '"1"', "[]", "{}", "null", "true", '{"1": 1.0}', '{"1": NaN}', '{"L": 0.5, "H": 0.5}',
+)
+
+
+@st.composite
+def mutated_specs(draw):
+    """The demo spec with a few values replaced, or its text mutated."""
+    if draw(st.booleans()):
+        return draw(mutated_text([SPEC], '{}[]:,."0123456789-eNaLHT \n'))
+    spec = json.loads(SPEC)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(spec)))
+        value = json.loads(draw(st.sampled_from(SPEC_VALUES)))
+        if isinstance(spec[key], dict) and spec[key] and draw(st.booleans()):
+            spec[key][draw(st.sampled_from(sorted(spec[key]) + ["4", "0", "X", "h"]))] = value
+        elif draw(st.integers(0, 4)):  # else, one time in five, drop the key
+            spec[key] = value
+        else:
+            del spec[key]
+    return json.dumps(spec)
+
+
+@FUZZ_FAST
+@given(mutated_specs())
+def test_spec_raises_only_tonoseg_errors(text):
+    try:
+        planted = PlantedGrammar.from_json(text)
+    except TonosegError:
+        return
+    for dist in (planted.word_lengths, planted.interior_tones, planted.final_tones, planted.turn_lengths):
+        assert all(math.isfinite(p) and p >= 0 for _, p in dist)
+        assert abs(sum(p for _, p in dist) - 1.0) <= 1e-9
+    assert 0.0 <= planted.prominence <= 1.0
+    assert PlantedGrammar.from_json(planted.to_json()) == planted
+
+
+# -- the symbol decoder --------------------------------------------------
+
+WORD_MARKING = (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
+# Symbols every scheme may meet: plain strings equal to symbols, and values
+# equal to none.
+STRAY = ("h", "H", "(", "*(", ")", "[", "]", "x", "", None, 0, 1.5, ("(",), ["("])
+
+
+@st.composite
+def symbol_lists(draw):
+    """A random list over a scheme's alphabet and stray symbols, or a valid
+    encoding with a few symbols inserted, deleted or replaced."""
+    scheme = draw(st.sampled_from(WORD_MARKING))
+    symbol = st.sampled_from(scheme.alphabet + STRAY)
+    if draw(st.booleans()):
+        return scheme, draw(st.lists(symbol, max_size=12))
+    symbols = encode_turn(draw(turns), scheme)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(symbols)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind == "insert":
+            symbols.insert(i, draw(symbol))
+        elif i < len(symbols):
+            symbols[i : i + 1] = [draw(symbol)] if kind == "replace" else []
+    return scheme, symbols
+
+
+@FUZZ_FAST
+@given(symbol_lists())
+def test_decode_accepts_exactly_encodings(case):
+    scheme, symbols = case
+    try:
+        decoded = decode_turn(symbols, scheme)
+    except DecodeError as err:
+        assert 0 <= err.index <= len(symbols)
+        return
+    assert encode_turn(decoded, scheme) == symbols

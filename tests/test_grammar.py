@@ -247,6 +247,9 @@ def test_marginal_entropy_errors():
         marginal_entropy([], 4)
     with pytest.raises(InvalidArgumentError):
         model_entropy(ab_grammar(smoothing=0.5), [AB_SEQUENCE], 1)
+    empty = r"^cannot measure entropy of an empty symbol stream$"
+    with pytest.raises(InvalidArgumentError, match=empty):
+        model_entropy(ab_grammar(smoothing=0.5), [[], []])
 
 
 def test_model_entropy_uniform_grammar():
@@ -316,6 +319,12 @@ def test_normalized_entropy_bounds():
         normalized_entropy(0.5, 1)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_normalized_entropy_rejects_non_finite(h):
+    with pytest.raises(InvalidArgumentError, match=rf"^entropy {h} outside \[0, 2\.079442\] for 8 categories$"):
+        normalized_entropy(h, 8)
+
+
 def test_from_counts_rejects_broken_tries():
     g = ab_grammar(max_depth=2)
     items = list(g.iter_counts())
@@ -331,6 +340,18 @@ def test_from_counts_rejects_broken_tries():
         rows = [((), {}), (("A",), {"A": 0}), (context, {"A": 1, "B": 2})]
         with pytest.raises(TonosegError, match=rf"^duplicate context '{text}'$"):
             PatternGrammar.from_counts(TOY2, g.config, rows)
+
+
+def test_foreign_symbols_raise_alphabet_error():
+    g = ab_grammar(smoothing=0.5)
+    with pytest.raises(AlphabetError, match=r"^context symbol 'X' not in scheme alphabet$"):
+        PatternGrammar.from_counts(TOY2, g.config, [((), {"A": 1}), (("X",), {"A": 1})])
+    with pytest.raises(AlphabetError, match=r"^successor 'X' not in scheme alphabet$"):
+        PatternGrammar.from_counts(TOY2, g.config, [((), {"A": 1, "X": 2})])
+    with pytest.raises(AlphabetError, match=r"^symbol 'X' not in scheme alphabet$"):
+        g.log_prob("X", ["A"])
+    with pytest.raises(AlphabetError, match=r"^symbol 'X' not in scheme alphabet$"):
+        g.sequence_log_probability(["A", "X"])
 
 
 def test_from_counts_rejects_counts_past_float_range():

@@ -228,6 +228,12 @@ def test_segment_corpus_order_and_errors():
     with pytest.raises(SegmentCorpusError) as exc:
         segment_corpus(g, [(H,), (), (T,)], HIERARCHICAL)
     assert exc.value.failures[0][0] == 1
+    with pytest.raises(SegmentCorpusError) as exc:
+        segment_corpus(g, [()] * 5, HIERARCHICAL)
+    empty = "empty tone sequence"
+    assert str(exc.value) == (
+        f"5 turn(s) failed: turn 0: {empty}; turn 1: {empty}; turn 2: {empty}; ... 2 more"
+    )
 
 
 def test_segment_scale():

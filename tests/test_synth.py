@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from tonoseg.core import (
 from tonoseg.grammar import TrainConfig, train
 from tonoseg.synth import (
     PlantedGrammar,
+    _PrefixWalker,
     SpecError,
     UnreachableContextError,
     planted_conditional,
@@ -165,6 +168,32 @@ def test_unreachable_contexts():
         planted_conditional(RICH, closed + (WO,))
     with pytest.raises(TonosegError):
         planted_conditional(RICH, (TO,), scheme=__import__("tonoseg").FLAT)
+    with pytest.raises(UnreachableContextError, match=r"^turn already closed$"):
+        planted_conditional(RICH, closed)
+    with pytest.raises(UnreachableContextError, match=r"^context must be a turn prefix starting at turn-open$"):
+        prefix_probability(RICH, (WO, H))
+
+
+def test_unreachable_after_underflow():
+    # Each T has probability 1e-200, so two of them weigh 1e-400, which is 0.0.
+    tiny = PlantedGrammar(
+        word_lengths=((3, 1.0),),
+        interior_tones=((T, 1e-200), (H, 1.0)),
+        final_tones=((L, 1.0),),
+        turn_lengths=((1, 1.0),),
+    )
+    assert planted_conditional(tiny, (TO, WO, T))[HIERARCHICAL.index(T)] == 1e-200
+    with pytest.raises(UnreachableContextError, match=r"^tone sequence \[<Tone.TOP: 'T'>, <Tone.TOP: 'T'>\] impossible$"):
+        planted_conditional(tiny, (TO, WO, T, T))
+
+
+def test_turn_longer_than_every_turn_length():
+    # With distinct turn lengths no prefix gets here: after the longest turn
+    # the next word opens with probability 0.  So the state is set directly.
+    walker = _PrefixWalker(RICH, HIERARCHICAL)
+    walker.phase, walker.words_done = "between", 4
+    with pytest.raises(UnreachableContextError, match=r"^no turn length allows 4 words$"):
+        walker.next_distribution()
 
 
 def test_prominence_marker_reachability():
@@ -268,3 +297,18 @@ def test_distribution_validation():
         PlantedGrammar(**{**good, "turn_lengths": ((0, 1.0),)})
     with pytest.raises(ValueError):
         PlantedGrammar(**{**good, "prominence": 1.2})
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (((1, math.nan), (2, 1.0)), "word_lengths: non-finite probability"),
+        (((1, math.nan),), "word_lengths: non-finite probability"),
+        (((1, math.inf), (2, 1.0)), "word_lengths: non-finite probability"),
+        (((1, -math.inf), (2, 1.0)), "word_lengths: negative probability"),
+        (((1, -0.5), (2, math.nan)), "word_lengths: negative probability"),
+    ],
+)
+def test_non_finite_probabilities_rejected(weights, message):
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        replace(RICH, word_lengths=weights)
