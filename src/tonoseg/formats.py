@@ -68,7 +68,7 @@ class SchemeMismatchError(ModelFormatError):
 
 
 _TOKEN = re.compile(r"\S+")
-_TONE_LETTERS = frozenset(t.value for t in Tone)
+_TONE_OF = {t.value: t for t in Tone}
 
 
 def _content_lines(text: str):
@@ -82,7 +82,13 @@ def _content_lines(text: str):
 
 def parse_corpus(text: str) -> Corpus:
     """Parse a corpus document; the first error is reported with its
-    1-based line and column."""
+    1-based line and column.
+
+    A turn line is read by a fast path (``_read_turn_line``) that splits
+    it at whitespace and builds each distinct word once per call; words
+    are frozen, so turns share them.  A line the fast path does not
+    accept is parsed again by ``_parse_turn_line``, which reports the
+    error."""
     lines = _content_lines(text)
     try:
         line_no, header = next(lines)
@@ -93,6 +99,7 @@ def parse_corpus(text: str) -> Corpus:
 
     turns = []
     metadata: dict = {}
+    words: dict[tuple, ProsodicWord] = {}  # a word's tokens -> the word
     for line_no, line in lines:
         if line.lstrip().startswith("@"):
             body = line.strip()[1:]
@@ -101,8 +108,32 @@ def parse_corpus(text: str) -> Corpus:
             key, *value = body.split(maxsplit=1)  # at any whitespace, as the tokenizer
             metadata[key] = value[0] if value else ""
             continue
-        turns.append(_parse_turn_line(line, line_no))
+        turn = _read_turn_line(line, words)
+        turns.append(turn if turn is not None else _parse_turn_line(line, line_no))
     return Corpus(tuple(turns), metadata)
+
+
+def _read_turn_line(line: str, words: dict) -> Turn | None:
+    """The turn of a well-formed line, or None; ``words`` maps the tokens
+    of each word read so far (opener and letters) to the word."""
+    tokens = line.split()
+    turn = []
+    start = 0
+    while start < len(tokens):
+        try:
+            end = tokens.index(")", start)
+        except ValueError:
+            return None
+        key = tuple(tokens[start:end])
+        word = words.get(key)
+        if word is None:
+            tones = tuple(map(_TONE_OF.get, key[1:]))
+            if not tones or None in tones or key[0] not in ("(", "*("):
+                return None
+            word = words[key] = ProsodicWord(tones, key[0] == "*(")
+        turn.append(word)
+        start = end + 1
+    return Turn(tuple(turn)) if turn else None
 
 
 def _parse_turn_line(line: str, line_no: int) -> Turn:
@@ -126,7 +157,7 @@ def _parse_turn_line(line: str, line_no: int) -> Turn:
             words.append(ProsodicWord(tuple(tones), prominent))
             in_word = False
         elif in_word:
-            if token not in _TONE_LETTERS:
+            if token not in _TONE_OF:
                 raise UnknownToneError(f"unknown tone letter {token!r}", line_no, col)
             tones.append(Tone(token))
         else:
@@ -166,8 +197,15 @@ def save_model(grammar: PatternGrammar) -> str:
     ]
     # A context's text is its oldest symbol's token, a space, then its
     # one-shorter suffix's text; the root's is empty and written ".".
+    # Deep contexts share a few count rows, so each distinct row's text
+    # is built once.
+    rows: dict[tuple, str] = {}
     for text, counts in grammar._walk([f"{s!s} " for s in grammar.scheme.alphabet], ""):
-        out.append(f"{text or '. '}{' '.join(map(str, counts))}")
+        key = tuple(counts)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = " ".join(map(str, counts))
+        out.append(f"{text or '. '}{row}")
     return "\n".join(out) + "\n"
 
 

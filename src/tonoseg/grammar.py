@@ -21,6 +21,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .core import AlphabetError, EncodingScheme, InvalidArgumentError, TonosegError, context_text
@@ -340,15 +341,21 @@ def train(
 ) -> PatternGrammar:
     """Tally (context, successor) events and prune rare contexts.
 
-    For every position the successor is counted under all context
-    suffixes up to ``max_depth`` symbols long (never reaching across the
-    start of the sequence).  Contexts observed fewer than ``min_count``
-    times are removed.  A context is never observed more often than its
-    one-shorter suffix, so the retained set stays suffix-closed.
+    A successor is counted under every context suffix of up to
+    ``max_depth`` symbols (never reaching across the start of its
+    sequence), as in a prediction suffix tree.  Each position is tallied
+    once, under its window's key extended by the successor.  The tallies
+    fill one row of successor counts per context; from the longest
+    contexts down, each row is then added into its one-shorter suffix's
+    row.  Contexts observed fewer than ``min_count`` times are removed.
+    A context is never observed more often than its one-shorter suffix,
+    so the retained set stays suffix-closed.
     """
     grammar = PatternGrammar(scheme, config or TrainConfig())
-    nodes, digits, powers = grammar._nodes, grammar._digits, grammar._powers
+    digits, powers = grammar._digits, grammar._powers
     depth, size, base = grammar.config.max_depth, scheme.size, scheme.size + 1
+    top = powers[depth]
+    events: dict[int, int] = {}  # the window's key extended by the successor -> count
     for si, seq in enumerate(sequences):
         window = 0  # key of the last max_depth symbols
         for pos, successor in enumerate(seq):
@@ -358,16 +365,36 @@ def train(
                     f"sequence {si}, position {pos}: symbol {successor!r} "
                     f"not in alphabet of scheme {scheme.scheme_id!r}"
                 )
-            for length in range(min(pos, depth) + 1):
-                key = window % powers[length]
-                node = nodes.get(key)
-                if node is None:
-                    node = nodes[key] = _Node([0] * size)
-                node.counts[digit - 1] += 1
-                node.total += 1
-            window = (window * base + digit) % powers[depth]
+            event = window * base + digit
+            events[event] = events.get(event, 0) + 1
+            window = event % top
+    # Rows by context length.  A suffix's row is often missing: a context
+    # shorter than max_depth is a whole window only at a sequence start.
+    rows: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
+    for event, count in events.items():
+        context, digit = divmod(event, base)
+        tier = rows[bisect_right(powers, context)]
+        row = tier.get(context)
+        if row is None:
+            row = tier[context] = [0] * size
+        row[digit - 1] = count
+    del events
+    for length in range(depth, 0, -1):
+        shorter, scale = rows[length - 1], powers[length - 1]
+        for key, row in rows[length].items():
+            into = shorter.get(key % scale)
+            if into is None:
+                shorter[key % scale] = row[:]
+            else:
+                into[:] = map(add, into, row)
     min_count = grammar.config.min_count
-    grammar._nodes = {k: node for k, node in nodes.items() if k == 0 or node.total >= min_count}
+    nodes = grammar._nodes
+    for tier in rows:
+        for key, row in tier.items():
+            total = sum(row)
+            if total >= min_count or key == 0:
+                nodes[key] = _Node(row, total)
+        tier.clear()  # so that the rows' dicts and the nodes' dict do not peak together
     return grammar
 
 

@@ -43,6 +43,11 @@ class SpecError(TonosegError, ValueError):
 def _check_dist(name, dist):
     if not dist:
         raise SpecError(f"{name}: empty support")
+    seen = set()
+    for value, _ in dist:
+        if value in seen:
+            raise SpecError(f"{name}: value {value} listed twice")
+        seen.add(value)
     if any(p < 0 for _, p in dist):
         raise SpecError(f"{name}: negative probability")
     if not all(math.isfinite(p) for _, p in dist):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from tonoseg.core import Corpus, ProsodicWord, Tone, Turn
+from tonoseg.core import AlphabetError, Corpus, ProsodicWord, Tone, Turn
+from tonoseg.grammar import PatternGrammar, TrainConfig, _Node
 from tonoseg.synth import PlantedGrammar
 
 TONES = list(Tone)
@@ -55,3 +56,31 @@ def random_planted(rng: random.Random, prominence: float | None = None) -> Plant
         prominence=rng.choice([0.0, 0.2, 0.5]) if prominence is None else prominence,
         seed=rng.randrange(1 << 30),
     )
+
+
+def train_per_length(sequences, scheme, config: TrainConfig) -> PatternGrammar:
+    """Reference tally for ``grammar.train``: each successor is counted under
+    every suffix of its window, one context length at a time, then contexts
+    seen fewer than ``min_count`` times are pruned (the root is kept)."""
+    grammar = PatternGrammar(scheme, config)
+    nodes, digits, powers = grammar._nodes, grammar._digits, grammar._powers
+    depth, size, base = config.max_depth, scheme.size, scheme.size + 1
+    for si, seq in enumerate(sequences):
+        window = 0  # key of the last max_depth symbols
+        for pos, successor in enumerate(seq):
+            digit = digits.get(successor)
+            if digit is None:
+                raise AlphabetError(
+                    f"sequence {si}, position {pos}: symbol {successor!r} "
+                    f"not in alphabet of scheme {scheme.scheme_id!r}"
+                )
+            for length in range(min(pos, depth) + 1):
+                key = window % powers[length]
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = _Node([0] * size)
+                node.counts[digit - 1] += 1
+                node.total += 1
+            window = (window * base + digit) % powers[depth]
+    grammar._nodes = {k: node for k, node in nodes.items() if k == 0 or node.total >= config.min_count}
+    return grammar

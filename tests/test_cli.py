@@ -292,6 +292,16 @@ def test_nan_probability_spec_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_value_spec_exit_2(tmp_path, capsys):
+    # "2" and "02" are two keys of a JSON object but one turn length.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**PLANTED_SPEC, "turn_lengths": {"2": 0.5, "02": 0.5}}))
+    out = tmp_path / "corpus.txt"
+    assert main(["synth", "--spec", str(spec), "--words", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "tonoseg: error: turn_lengths: value 2 listed twice\n"
+    assert not out.exists()
+
+
 def test_words_below_one_exit_2(tmp_path, capsys, spec_file):
     out = tmp_path / "corpus.txt"
     assert main(["synth", "--spec", str(spec_file), "--words", "0", "--out", str(out)]) == 2

@@ -102,6 +102,17 @@ def test_parse_three_turn_825_word_document():
     assert c.word_count == 825
 
 
+def test_repeated_words_parse_to_equal_turns():
+    # The parser builds each distinct word once and shares it between turns.
+    lines = ["( H L ) *( H L ) ( H L )", "( H L ) *( H L )", "( H L ) *( H L ) ( H L )"]
+    text = HEADER + "\n".join(lines) + "\n"
+    c = parse_corpus(text)
+    assert c.turns == (turn("HL", ("HL", True), "HL"), turn("HL", ("HL", True)), turn("HL", ("HL", True), "HL"))
+    assert c.turns[0] == c.turns[2] and c.turns[0].words[:2] == c.turns[1].words
+    assert serialize_corpus(c) == text
+    assert parse_corpus(serialize_corpus(c)) == c
+
+
 def test_serialize_round_trip_minimal():
     c = Corpus((turn("US", ("TD", True)),), {"id": "x"})
     assert parse_corpus(serialize_corpus(c)) == c

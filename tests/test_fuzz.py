@@ -3,8 +3,10 @@
 Mutated copies of valid documents (saved models, corpus files,
 segmentation files, planted-grammar specs) may only raise
 ``TonosegError``; whatever they parse to must write and read back
-unchanged.  Random corpora and segmentations survive a write and a
-read.  ``decode_turn`` accepts exactly what ``encode_turn`` produces.
+unchanged.  The corpus parser's fast path for turn lines agrees with
+the token-by-token parser that reports errors.  Random corpora and
+segmentations survive a write and a read.  ``decode_turn`` accepts
+exactly what ``encode_turn`` produces.
 The saved models are the pinned ones of ``fixtures/model_golden.json``
 (four schemes, depth 0-8).  Runs are derandomized so the suite repeats
 exactly.
@@ -13,10 +15,12 @@ exactly.
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tonoseg import formats
 from tonoseg.core import (
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
@@ -31,6 +35,8 @@ from tonoseg.core import (
     get_scheme,
 )
 from tonoseg.formats import (
+    _parse_turn_line,
+    _read_turn_line,
     load_model,
     parse_corpus,
     parse_segmentation,
@@ -191,6 +197,46 @@ def test_parse_corpus_raises_only_tonoseg_errors(text):
     except TonosegError:
         return
     assert parse_corpus(serialize_corpus(corpus)) == corpus
+
+
+# Turn lines with tokens the fast path must hand on: ")" and "*(" glued
+# to a letter, an empty word, and whitespace that is not a space.
+TURN_DOCUMENTS = [
+    "( U S ) *( T D )\n*( T H L ) ( U L ) ( L )\n( T H L ) ( L )",
+    "( H L) *(T L ) ( H L )\n*( H )( L )\n( ) ( L )\n*( H L ) ( )",
+    "\t( T\x0bL )\x1c*(\u3000H L ) \n( U\tU )\x0b( D )",
+]
+TURN_CHARACTERS = "TMBHLUDh()*@# \n\t\x0b\x1c\u3000"
+
+
+@FUZZ
+@given(mutated_text(TURN_DOCUMENTS, TURN_CHARACTERS))
+def test_fast_turn_reader_agrees_with_parser(text):
+    # Lines as parse_corpus sees them; one word memo, as in one parse_corpus call.
+    words = {}
+    for line in text.splitlines():
+        fast = _read_turn_line(line, words)
+        try:
+            slow = _parse_turn_line(line, 1)
+        except TonosegError:
+            assert fast is None
+        else:
+            assert fast is None or fast == slow
+
+
+@FUZZ
+@given(mutated_text([formats.CORPUS_HEADER + "\n" + doc for doc in TURN_DOCUMENTS], TURN_CHARACTERS))
+def test_parse_corpus_fast_path_keeps_errors(text):
+    # With the fast path off, every line goes through _parse_turn_line.
+    def parse():
+        try:
+            return parse_corpus(text)
+        except TonosegError as err:
+            return type(err), str(err)
+
+    with mock.patch.object(formats, "_read_turn_line", lambda line, words: None):
+        expected = parse()
+    assert parse() == expected
 
 
 @st.composite

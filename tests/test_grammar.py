@@ -103,6 +103,15 @@ def test_out_of_alphabet_symbol_aborts_with_position():
     assert "position 1" in str(exc.value)
 
 
+def test_foreign_symbol_names_sequence_and_position():
+    # The first two sequences are tallied before the third one stops training.
+    sequences = [["A", "B", "A"], [], ["B", "A", "B", "X", "A", "Y"]]
+    message = r"^sequence 2, position 3: symbol 'X' not in alphabet of scheme 'toy2'$"
+    for depth in (0, 2, 8):
+        with pytest.raises(AlphabetError, match=message):
+            train(sequences, TOY2, TrainConfig(depth, 1, 0.5))
+
+
 def test_depth_zero_is_unigram():
     g = train([AB_SEQUENCE], TOY2, TrainConfig(0, 1, 0.0))
     assert g.node_count == 1

@@ -1,4 +1,7 @@
-"""Property tests of the decoder, the transition table and the chain rule.
+"""Property tests of training, the decoder, the transition table and the
+chain rule.
+
+``train`` must give the model text of the per-length reference tally.
 
 The decoder must equal the brute-force oracle (spans and bitwise score),
 and the table and the chain-rule scores must reproduce ``log_prob``
@@ -10,10 +13,11 @@ repeats exactly.
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tonoseg.core import (
+    FLAT,
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
     HIERARCHY_PROMINENCE_TONES,
@@ -21,9 +25,10 @@ from tonoseg.core import (
     ProminentTone,
     encode_corpus,
 )
+from tonoseg.formats import save_model
 from tonoseg.grammar import PatternGrammar, TrainConfig, model_entropy, train
 from tonoseg.segment import brute_force_segment, segment_turn
-from helpers import TONES, random_corpus
+from helpers import TONES, random_corpus, train_per_length
 
 SCHEMES = (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -42,6 +47,27 @@ def trained_grammars(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     corpus = random_corpus(rng, rng.randint(1, 15))
     return train(encode_corpus(corpus, scheme), scheme, draw(configs()))
+
+
+@st.composite
+def training_sets(draw):
+    """A scheme, a config of depth 0-8 and sequences over a few of the
+    scheme's symbols, so that contexts repeat; sequences may be empty or
+    hold one symbol."""
+    scheme = draw(st.sampled_from((FLAT,) + SCHEMES))
+    symbols = draw(st.lists(st.sampled_from(scheme.alphabet), min_size=1, max_size=4, unique=True))
+    sequences = draw(st.lists(st.lists(st.sampled_from(symbols), max_size=20), max_size=8))
+    return scheme, TrainConfig(draw(st.integers(0, 8)), draw(st.integers(1, 3))), sequences
+
+
+@settings(PROPERTY, max_examples=300)
+@given(training_sets())
+@example((FLAT, TrainConfig(3, 1), [[], TONES[:1], [], TONES[:2] * 3, TONES[1:2]]))
+@example((HIERARCHICAL, TrainConfig(8, 2), [TONES[:1]] * 3 + [TONES[:3] * 4, []]))
+def test_train_equals_per_length_tally(case):
+    scheme, config, sequences = case
+    expected = save_model(train_per_length(sequences, scheme, config))
+    assert save_model(train(sequences, scheme, config)) == expected
 
 
 @st.composite

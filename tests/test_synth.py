@@ -312,3 +312,24 @@ def test_distribution_validation():
 def test_non_finite_probabilities_rejected(weights, message):
     with pytest.raises(SpecError, match=f"^{message}$"):
         replace(RICH, word_lengths=weights)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"turn_lengths": ((2, 0.5), (2, 0.5))}, "turn_lengths: value 2 listed twice"),
+        ({"word_lengths": ((1, 0.2), (3, 0.4), (1, 0.4))}, "word_lengths: value 1 listed twice"),
+        ({"final_tones": ((L, 0.5), ("L", 0.5))}, "final_tones: value L listed twice"),
+    ],
+)
+def test_repeated_value_rejected(changes, message):
+    # Sampling would draw from both entries, the planted conditionals read the first only.
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        replace(RICH, **changes)
+
+
+def test_repeated_value_in_mapping_rejected():
+    # "2" and "02" are two keys of a JSON object but one turn length.
+    spec = {**RICH.to_mapping(), "turn_lengths": {"2": 0.5, "02": 0.5}}
+    with pytest.raises(SpecError, match="^turn_lengths: value 2 listed twice$"):
+        PlantedGrammar.from_mapping(spec)
