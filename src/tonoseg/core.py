@@ -343,8 +343,22 @@ def encode_turn(turn: Turn, scheme: EncodingScheme) -> list:
 
 
 def encode_corpus(corpus: Corpus, scheme: EncodingScheme) -> list:
-    """One encoded sequence per turn, order preserved."""
-    return [encode_words(t.words, scheme) for t in corpus.turns]
+    """One encoded sequence per turn, order preserved, equal to
+    ``encode_turn`` of each turn.  Each distinct word is encoded once per
+    call, by ``encode_words``, and its symbols are copied into every turn
+    that holds it."""
+    pieces: dict = {}  # word -> its symbols between the turn markers
+    out = []
+    for turn in corpus.turns:
+        seq = [Marker.TURN_OPEN]
+        for word in turn.words:
+            piece = pieces.get(word)
+            if piece is None:
+                piece = pieces[word] = encode_words((word,), scheme)[1:-1]
+            seq += piece
+        seq.append(Marker.TURN_CLOSE)
+        out.append(seq)
+    return out
 
 
 # What a tone symbol reads as: its tone, and whether it marks prominence.

@@ -39,6 +39,13 @@ as many boundary bits, and equal boundary vectors hold as many words,
 so comparing the integers compares the vectors, and merging and the
 final choice both compare ``(-score, words, bits, prominence bits)``.
 
+The result is built straight from the winner's two integers: the
+boundary bits as one binary string, from which ``str.find`` jumps from
+one word opening to the next, and one character of the prominence bits
+per word.  Every candidate of the DP tiles the stream, so the result is
+made by ``SegmentationResult._of``, which skips the checks of the public
+constructor.
+
 Each step shifts these integers, which copies them, so a step at tone
 n costs O(n / 30) machine words on top of its constant work and a turn
 costs O(n**2 / 30) in all.  The cost per tone is flat up to a few
@@ -96,6 +103,15 @@ class SegmentationResult:
                 raise SegmentationError(f"spans do not tile the stream: {self.spans}")
             pos = span.end
 
+    @classmethod
+    def _of(cls, spans: tuple, log_prob: float) -> "SegmentationResult":
+        """A result of ``WordSpan``s that tile the stream by construction,
+        as the decoder builds them: stored as given, without the checks."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "spans", spans)
+        object.__setattr__(result, "log_prob", log_prob)
+        return result
+
     @property
     def n_tones(self) -> int:
         return self.spans[-1].end if self.spans else 0
@@ -119,7 +135,7 @@ def _check_inputs(grammar: PatternGrammar, tones: Sequence[Tone], scheme: Encodi
         raise SegmentationError(
             f"scheme {scheme.scheme_id!r} does not mark word boundaries; cannot segment"
         )
-    if scheme != grammar.scheme:
+    if scheme is not grammar.scheme and scheme != grammar.scheme:
         raise SegmentationError(
             f"scheme {scheme.scheme_id!r} does not match grammar scheme "
             f"{grammar.scheme.scheme_id!r}"
@@ -249,7 +265,9 @@ def segment_turn(
     See the module docstring for the merge state, the integer key and
     the rows.  Prefix scores accumulate symbol by symbol in emission
     order, which keeps them bitwise equal to ``sequence_log_probability``
-    of the same candidate.
+    of the same candidate.  The winner's spans are read off its boundary
+    and prominence bits in one pass, O(n) in the turn length, and returned
+    without the tiling check of ``SegmentationResult(...)``.
     """
     _check_inputs(grammar, tones, scheme)
     close, opens, turn_open, turn_close, known = _layout(scheme)
@@ -310,10 +328,16 @@ def segment_turn(
         _, lp = step(closed, turn_close)
         finals.append((-(score + lp), words, bits, pbits))
     total, words, bits, pbits = min(finals)
-    # The first tone's bit is always a cut: no boundary precedes it.
-    bounds = tuple(c == "1" for c in format(bits, f"0{len(tones)}b")[1:])
-    proms = tuple(c == "1" for c in format(pbits, f"0{words}b"))
-    return SegmentationResult(_spans_from_vectors(bounds, proms), -total)
+    # One char per tone, "1" where a word opens (always the first tone),
+    # and a "1" after the last tone to end the last word.
+    opens_at = f"{bits:b}1".find
+    spans = []
+    start = 0
+    for prominent in f"{pbits:0{words}b}":
+        end = opens_at("1", start + 1)
+        spans.append(WordSpan(start, end, prominent == "1"))
+        start = end
+    return SegmentationResult._of(tuple(spans), -total)
 
 
 def segment_corpus(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tonoseg import core
 from tonoseg.core import (
@@ -18,6 +20,7 @@ from tonoseg.core import (
     ProminentTone,
     ProsodicWord,
     Tone,
+    TonosegError,
     Turn,
     UnknownToneError,
     decode_turn,
@@ -179,10 +182,55 @@ def test_length_arithmetic():
         assert len(encode_turn(t, HIERARCHY_PROMINENCE)) == len(encode_turn(t, HIERARCHICAL))
 
 
+NO_TURN_MARKERS = EncodingScheme(
+    "no-turns", tuple(Tone) + (Marker.WORD_OPEN, Marker.WORD_CLOSE), True
+)
+
+
 def test_encode_needs_turn_markers():
-    scheme = EncodingScheme("no-turns", tuple(Tone) + (Marker.WORD_OPEN, Marker.WORD_CLOSE), True)
     with pytest.raises(AlphabetError, match=r"^scheme 'no-turns' has no turn markers$"):
-        encode_turn(turn("H"), scheme)
+        encode_turn(turn("H"), NO_TURN_MARKERS)
+
+
+@st.composite
+def corpora_with_repeated_words(draw):
+    """Corpora drawn from a small pool of words, so most words repeat: some
+    as the same object, some as equal copies, under both prominence values."""
+    pool = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(list(Tone)), min_size=1, max_size=3), st.booleans()),
+        min_size=1, max_size=5,
+    ))
+    pool = [ProsodicWord(tuple(tones), prominent) for tones, prominent in pool]
+    picks = st.tuples(st.sampled_from(pool), st.booleans())
+    turns = draw(st.lists(st.lists(picks, min_size=1, max_size=5), max_size=8))
+    return Corpus(tuple(
+        Turn(tuple(ProsodicWord(w.tones, w.prominent) if copied else w for w, copied in words))
+        for words in turns
+    ))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    corpora_with_repeated_words(),
+    st.sampled_from(
+        (FLAT, HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES, NO_TURN_MARKERS)
+    ),
+)
+def test_encode_corpus_equals_per_turn_encoder(corpus, scheme):
+    try:
+        want = [encode_turn(t, scheme) for t in corpus.turns]
+    except TonosegError as err:
+        with pytest.raises(type(err)) as raised:
+            encode_corpus(corpus, scheme)
+        assert str(raised.value) == str(err)
+        return
+    got = encode_corpus(corpus, scheme)
+    assert got == want
+    assert len({id(seq) for seq in got}) == len(got)
+    if got:
+        got[0][:] = [None] * len(got[0])
+        assert got[1:] == want[1:]
+        assert encode_corpus(corpus, scheme) == want
 
 
 def test_alphabet_closure():

@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tonoseg.core import (
     FLAT,
@@ -54,8 +56,8 @@ CUE = {
 }
 
 
-def trained(scheme, rng, n_turns=8, depth=None, smoothing=0.5, min_count=1):
-    corpus = random_corpus(rng, n_turns)
+def trained(scheme, rng, n_turns=8, depth=None, smoothing=0.5, min_count=1, **turn_shape):
+    corpus = random_corpus(rng, n_turns, **turn_shape)
     cfg = TrainConfig(rng.randint(1, 4) if depth is None else depth, min_count, smoothing)
     return train(encode_corpus(corpus, scheme), scheme, cfg)
 
@@ -68,6 +70,66 @@ def test_result_invariants():
         SegmentationResult((WordSpan(0, 2, False), WordSpan(3, 4, False)), -1.0)
     with pytest.raises(SegmentationError):
         SegmentationResult((WordSpan(0, 0, False),), -1.0)
+
+
+def check_result_shape(result, grammar, stream, scheme):
+    """The decoder's result is made of the public types, tiles the stream,
+    scores its spans, and equals its copies and the result the validating
+    constructor builds."""
+    assert type(result) is SegmentationResult
+    assert type(result.spans) is tuple and type(result.log_prob) is float
+    pos = 0
+    for span in result.spans:
+        assert type(span) is WordSpan
+        assert type(span.start) is int and type(span.end) is int
+        assert type(span.prominent) is bool
+        assert span.start == pos < span.end
+        pos = span.end
+    assert pos == len(stream)
+    assert result.log_prob == grammar.sequence_log_probability(
+        spans_to_symbols(stream, result.spans, scheme)
+    )
+    if scheme.prominence == "none":
+        assert not any(span.prominent for span in result.spans)
+    rebuilt = SegmentationResult(result.spans, result.log_prob)
+    assert result == rebuilt and hash(result) == hash(rebuilt)
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert copy.deepcopy(result) == result
+
+
+# Keyword arguments of ``trained``.  At depth 1 with little smoothing,
+# turns of many one-tone words train a grammar that cuts after almost
+# every tone, and turns of one long word a grammar that almost never cuts.
+TRAINING_SHAPES = {
+    "random": {},
+    "all cuts": {"n_turns": 30, "depth": 1, "smoothing": 0.1, "max_words": 40, "max_tones": 1},
+    "no cuts": {"n_turns": 30, "depth": 1, "smoothing": 0.1, "max_words": 1, "max_tones": 100},
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)),
+    st.sampled_from(sorted(TRAINING_SHAPES)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+)
+def test_result_shape(scheme, shape, seed, n):
+    rng = random.Random(seed)
+    g = trained(scheme, rng, **TRAINING_SHAPES[shape])
+    stream = [rng.choice(TONES) for _ in range(n)]
+    check_result_shape(segment_turn(g, stream, scheme), g, stream, scheme)
+
+
+@pytest.mark.parametrize("scheme", [HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES])
+def test_result_shape_all_cuts_and_no_cuts(scheme):
+    rng = random.Random(39)
+    stream = [rng.choice(TONES) for _ in range(300)]
+    for shape, n_words in (("all cuts", 300), ("no cuts", 1)):
+        g = trained(scheme, rng, **TRAINING_SHAPES[shape])
+        result = segment_turn(g, stream, scheme)
+        assert len(result.spans) == n_words
+        check_result_shape(result, g, stream, scheme)
 
 
 def test_single_tone_forced_segmentation():
