@@ -62,7 +62,14 @@ class _Node:
 
 def _longest_suffix(keys, key: int, powers: Sequence[int]) -> int:
     """Key of the longest suffix of context ``key`` in the suffix-closed
-    set ``keys``, which holds the root; ``powers[L]`` is ``base**L``."""
+    set ``keys``, which holds the root; ``powers[L]`` is ``base**L``.
+
+    A key in ``keys`` is its own answer and costs one membership test; only
+    a missing key has its symbols counted, to drop them oldest first.  On
+    the data a grammar was trained on, every window is a retained context.
+    """
+    if key in keys:
+        return key
     length = bisect_right(powers, key)  # the context's symbol count
     while key not in keys:
         length -= 1
@@ -260,23 +267,6 @@ class PatternGrammar:
             raise AlphabetError(f"symbol {symbol!r} not in scheme alphabet")
         return _smoothed_log_prob(self._match(context), digit - 1, self.config.smoothing, self._size)
 
-    def _log_probs(self, symbols: Sequence) -> Iterator[float]:
-        """``log_prob`` of each symbol given the symbols before it, in order.
-
-        The history is a rolling key of the last ``max_depth`` symbols,
-        so no context is sliced or re-encoded.
-        """
-        nodes, digits, powers = self._nodes, self._digits, self._powers
-        lam, size = self.config.smoothing, self._size
-        depth = self.config.max_depth
-        window = 0
-        for sym in symbols:
-            digit = digits.get(sym)
-            if digit is None:
-                raise AlphabetError(f"symbol {sym!r} not in scheme alphabet")
-            yield _smoothed_log_prob(nodes[_longest_suffix(nodes, window, powers)], digit - 1, lam, size)
-            window = (window * (size + 1) + digit) % powers[depth]
-
     def step(self, state: int, a: int) -> tuple[int, float]:
         """(next state, ln P) for symbol index ``a`` read in ``state``.
 
@@ -326,11 +316,20 @@ class PatternGrammar:
         predicted from the empty context.  Returns -inf if an unseen
         transition meets zero smoothing.
         """
+        nodes, digits, powers = self._nodes, self._digits, self._powers
+        lam, size = self.config.smoothing, self._size
+        top = powers[self.config.max_depth]
         total = 0.0
-        for lp in self._log_probs(symbols):
+        window = 0  # key of the last max_depth symbols
+        for sym in symbols:
+            digit = digits.get(sym)
+            if digit is None:
+                raise AlphabetError(f"symbol {sym!r} not in scheme alphabet")
+            lp = _smoothed_log_prob(nodes[_longest_suffix(nodes, window, powers)], digit - 1, lam, size)
             if lp == -math.inf:
                 return -math.inf
             total += lp
+            window = (window * (size + 1) + digit) % top
         return total
 
 
@@ -433,21 +432,48 @@ def model_entropy(
     sequence, each sequence starting from the empty context.  With
     ``max_depth=0`` and zero smoothing this equals the marginal entropy
     of the same data.
+
+    A position's score depends only on its event: the key of the
+    ``max_depth`` symbols before it, extended by its own symbol (as in
+    ``train``).  So each distinct event is scored once per call, where it
+    first occurs.  The scores are still subtracted one per position, in
+    order: the result is the float that summing ``log_prob`` position by
+    position gives.
     """
     if n_categories is None:
         n_categories = grammar.scheme.size
     if n_categories < 2:
         raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
+    nodes, digits, powers = grammar._nodes, grammar._digits, grammar._powers
+    lam, size, base = grammar.config.smoothing, grammar._size, grammar._size + 1
+    top = powers[grammar.config.max_depth]
+    memo: dict[int, float] = {}  # event -> ln P
     total = 0.0
     positions = 0
     for si, seq in enumerate(sequences):
-        for i, lp in enumerate(grammar._log_probs(seq)):
-            if lp == -math.inf:
-                raise TonosegError(
-                    f"sequence {si}, position {i}: unseen transition with zero smoothing"
+        window = 0  # key of the last max_depth symbols
+        i = -1  # an empty sequence adds no positions
+        for i, sym in enumerate(seq):
+            digit = digits.get(sym)
+            if digit is None:
+                raise AlphabetError(
+                    f"sequence {si}, position {i}: symbol {sym!r} "
+                    f"not in alphabet of scheme {grammar.scheme.scheme_id!r}"
                 )
+            event = window * base + digit
+            lp = memo.get(event)
+            if lp is None:
+                # An event's first occurrence is its only miss, so the error names it.
+                lp = memo[event] = _smoothed_log_prob(
+                    nodes[_longest_suffix(nodes, window, powers)], digit - 1, lam, size
+                )
+                if lp == -math.inf:
+                    raise TonosegError(
+                        f"sequence {si}, position {i}: unseen transition with zero smoothing"
+                    )
             total -= lp
-            positions += 1
+            window = event % top
+        positions += i + 1
     if positions == 0:
         raise InvalidArgumentError("cannot measure entropy of an empty symbol stream")
     h = total / positions

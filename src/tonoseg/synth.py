@@ -179,6 +179,7 @@ def sample_corpus(planted: PlantedGrammar, n_words: int, seed: int | None = None
         turn_sizes.append(size)
         remaining -= size
     turns = []
+    shared: dict[tuple, ProsodicWord] = {}  # one object per distinct word drawn
     for size in turn_sizes:
         words = []
         for _ in range(size):
@@ -188,7 +189,10 @@ def sample_corpus(planted: PlantedGrammar, n_words: int, seed: int | None = None
                 _draw(rng, planted.final_tones if i == length - 1 else planted.interior_tones)
                 for i in range(length)
             )
-            words.append(ProsodicWord(tones, prominent))
+            word = shared.get((tones, prominent))
+            if word is None:
+                word = shared[tones, prominent] = ProsodicWord(tones, prominent)
+            words.append(word)
         turns.append(Turn(tuple(words)))
     return Corpus(tuple(turns), {"generator": "planted", "words": str(n_words)})
 

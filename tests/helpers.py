@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
-from tonoseg.core import AlphabetError, Corpus, ProsodicWord, Tone, Turn
+from tonoseg.core import AlphabetError, Corpus, InvalidArgumentError, ProsodicWord, Tone, TonosegError, Turn
 from tonoseg.grammar import PatternGrammar, TrainConfig, _Node
 from tonoseg.synth import PlantedGrammar
 
@@ -84,3 +85,21 @@ def train_per_length(sequences, scheme, config: TrainConfig) -> PatternGrammar:
             window = (window * base + digit) % powers[depth]
     grammar._nodes = {k: node for k, node in nodes.items() if k == 0 or node.total >= config.min_count}
     return grammar
+
+
+def model_entropy_per_position(grammar: PatternGrammar, sequences) -> tuple[float, float]:
+    """Reference for ``grammar.model_entropy``: ``-log_prob`` of each
+    position given its last ``max_depth`` symbols, subtracted in order."""
+    depth = grammar.config.max_depth
+    total, positions = 0.0, 0
+    for si, seq in enumerate(sequences):
+        for i, sym in enumerate(seq):
+            lp = grammar.log_prob(sym, seq[max(0, i - depth) : i])
+            if lp == -math.inf:
+                raise TonosegError(f"sequence {si}, position {i}: unseen transition with zero smoothing")
+            total -= lp
+            positions += 1
+    if positions == 0:
+        raise InvalidArgumentError("cannot measure entropy of an empty symbol stream")
+    h = total / positions
+    return h, h / math.log(grammar.scheme.size)

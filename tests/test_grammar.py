@@ -13,6 +13,7 @@ from tonoseg.core import (
     AlphabetError,
     EncodingScheme,
     InvalidArgumentError,
+    Tone,
     TonosegError,
     encode_corpus,
     get_scheme,
@@ -27,6 +28,7 @@ from tonoseg.grammar import (
     normalized_entropy,
     train,
 )
+from tonoseg.segment import segment_turn
 from helpers import random_corpus
 
 MODEL_GOLDEN = Path(__file__).parent / "fixtures" / "model_golden.json"
@@ -104,12 +106,15 @@ def test_out_of_alphabet_symbol_aborts_with_position():
 
 
 def test_foreign_symbol_names_sequence_and_position():
-    # The first two sequences are tallied before the third one stops training.
+    # The first two sequences are tallied, or scored, before the third one stops
+    # training or model_entropy.
     sequences = [["A", "B", "A"], [], ["B", "A", "B", "X", "A", "Y"]]
     message = r"^sequence 2, position 3: symbol 'X' not in alphabet of scheme 'toy2'$"
     for depth in (0, 2, 8):
         with pytest.raises(AlphabetError, match=message):
             train(sequences, TOY2, TrainConfig(depth, 1, 0.5))
+        with pytest.raises(AlphabetError, match=message):
+            model_entropy(train(sequences[:2], TOY2, TrainConfig(depth, 1, 0.5)), sequences)
 
 
 def test_depth_zero_is_unigram():
@@ -279,6 +284,35 @@ def test_model_entropy_unseen_transition_errors():
     with pytest.raises(TonosegError) as exc:
         model_entropy(g, [list("AA")])
     assert "position 1" in str(exc.value)
+
+
+def test_model_entropy_unseen_transition_names_first_occurrence():
+    # B never follows B in training.  The event first occurs in the second
+    # sequence, then recurs there and in the third; the error names the first.
+    g = ab_grammar()
+    message = r"^sequence 1, position 2: unseen transition with zero smoothing$"
+    with pytest.raises(TonosegError, match=message):
+        model_entropy(g, [list("ABAB"), list("ABBB"), list("BB")])
+
+
+def test_model_entropy_takes_a_one_shot_generator():
+    g = ab_grammar(smoothing=0.5)
+    seqs = [list("ABBA"), list("BAB"), list("ABBA")]
+    assert model_entropy(g, (tuple(seq) for seq in seqs)) == model_entropy(g, seqs)
+
+
+def test_model_entropy_leaves_grammar_untouched():
+    # Its memo lives for one call: the automaton and the decoder's rows
+    # are neither read nor filled, and calls do not affect each other.
+    seqs = encode_corpus(random_corpus(random.Random(12), 20), HIERARCHICAL)
+    g = train(seqs, HIERARCHICAL, TrainConfig(3, 2, 0.5))
+    first = model_entropy(g, seqs)
+    assert (g._entries, g._rows, g._closure) == ({}, {}, None)
+    segment_turn(g, [sym for sym in seqs[0] if isinstance(sym, Tone)], HIERARCHICAL)
+    entries, rows, closure = dict(g._entries), dict(g._rows), g._closure
+    assert entries and rows and closure
+    assert model_entropy(g, seqs) == first
+    assert (g._entries, g._rows) == (entries, rows) and g._closure is closure
 
 
 def test_model_entropy_matches_marginal_at_depth_zero():

@@ -10,9 +10,10 @@ not be closed under prefixes.  Runs are derandomized so the suite
 repeats exactly.
 """
 
-import math
 import random
+import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +24,13 @@ from tonoseg.core import (
     HIERARCHY_PROMINENCE_TONES,
     Marker,
     ProminentTone,
+    TonosegError,
     encode_corpus,
 )
 from tonoseg.formats import save_model
 from tonoseg.grammar import PatternGrammar, TrainConfig, model_entropy, train
 from tonoseg.segment import brute_force_segment, segment_turn
-from helpers import TONES, random_corpus, train_per_length
+from helpers import TONES, model_entropy_per_position, random_corpus, train_per_length
 
 SCHEMES = (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -162,18 +164,44 @@ def test_chain_scores_equal_log_prob(grammar, data):
     # along the sequence; log_prob builds each context's key afresh.
     depth = grammar.config.max_depth
     seqs = [symbol_lists(grammar, data) for _ in range(data.draw(st.integers(1, 3)))]
-    neg_total, positions = 0.0, 0
     for seq in seqs:
         total = 0.0
         for i, sym in enumerate(seq):
-            lp = grammar.log_prob(sym, seq[max(0, i - depth) : i])
-            total += lp
-            neg_total -= lp
-            positions += 1
+            total += grammar.log_prob(sym, seq[max(0, i - depth) : i])
         assert grammar.sequence_log_probability(seq).hex() == total.hex()
-    if positions:
-        h = neg_total / positions
-        assert model_entropy(grammar, seqs) == (h, h / math.log(grammar.scheme.size))
+    if any(seqs):
+        assert model_entropy(grammar, seqs) == model_entropy_per_position(grammar, seqs)
+
+
+@st.composite
+def entropy_cases(draw):
+    """A grammar trained at depth 0-8, with or without smoothing, and
+    sequences to score: training sequences and new ones over the same
+    symbols, picked with repeats so that events recur across sequences."""
+    scheme, config, sequences = draw(training_sets())
+    config = TrainConfig(config.max_depth, config.min_count, draw(st.sampled_from([0.0, 0.5])))
+    grammar = train(sequences, scheme, config)
+    symbols = sorted({sym for seq in sequences for sym in seq}, key=scheme.index) or scheme.alphabet[:2]
+    new = st.lists(st.sampled_from(symbols), min_size=1, max_size=12)
+    pool = sequences + draw(st.lists(new, min_size=1, max_size=3))
+    return grammar, [pool[j] for j in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(entropy_cases())
+@example((train([TONES[:2] * 3], FLAT, TrainConfig(0, 1, 0.0)), [TONES[:2] * 3, TONES[1:2]] * 3))
+@example((train([TONES[:2] * 3], FLAT, TrainConfig(2, 1, 0.0)), [TONES[:2] * 2, TONES[:2] * 2 + TONES[:1]] * 2))
+def test_model_entropy_equals_per_position_sum(case):
+    # model_entropy scores each distinct event once; the reference scores
+    # every position afresh.  Equal floats, or the same error.
+    grammar, seqs = case
+    try:
+        expected = model_entropy_per_position(grammar, seqs)
+    except TonosegError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            model_entropy(grammar, seqs)
+    else:
+        assert [x.hex() for x in model_entropy(grammar, seqs)] == [x.hex() for x in expected]
 
 
 FOREIGN = ("?", Marker.PROM_WORD_OPEN, ProminentTone.TOP, Marker.WORD_OPEN)

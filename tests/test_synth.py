@@ -79,6 +79,12 @@ def test_determinism_and_seed_sensitivity():
     assert sample_corpus(RICH, 50) == sample_corpus(RICH, 50, seed=RICH.seed)
 
 
+def test_equal_words_drawn_are_one_object():
+    # Corpora repeat few distinct words; encoding hashes each word it meets.
+    words = [w for turn in sample_corpus(RICH, 500, seed=8).turns for w in turn.words]
+    assert len({id(w) for w in words}) == len(set(words)) < 100
+
+
 def test_exact_word_counts():
     for n in (1, 7, 100, 825):
         assert sample_corpus(RICH, n, seed=6).word_count == n
