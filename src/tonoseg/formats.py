@@ -32,7 +32,7 @@ from .core import (
     UnknownToneError,
     get_scheme,
 )
-from .grammar import PatternGrammar, TrainConfig
+from .grammar import PatternGrammar, TrainConfig, _Node
 from .segment import SegmentationResult, WordSpan
 
 CORPUS_HEADER = "tonoseg-corpus v1"
@@ -214,6 +214,9 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
 
     ``expected_scheme`` pins the scheme id the caller requires; a
     different id in the document raises ``SchemeMismatchError``.
+
+    Rows with equal count tokens share one node (one counts list), so
+    the grammar's counts must never be mutated.
     """
     lines = _content_lines(text)
 
@@ -253,14 +256,21 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
     n, base, nodes = scheme.size, scheme.size + 1, grammar._nodes
     digits = {str(s): d for d, s in reversed(list(enumerate(scheme.alphabet, 1)))}
     nodes.clear()  # the rows bring every node, the root first
+    # A row's count tokens -> the node built and checked where they first
+    # occurred.  Deep contexts repeat a few rows, and a row's count checks
+    # depend on its tokens only, so a repeat skips them and shares the node.
+    seen: dict[tuple, _Node] = {}
     for line_no, line in lines:
         tokens = line.split()
         if len(tokens) < n + 1:
             raise CorruptModelError(f"line {line_no}: node line needs context plus {n} counts")
-        try:
-            counts = list(map(int, tokens[-n:]))
-        except ValueError:
-            raise CorruptModelError(f"line {line_no}: non-integer count") from None
+        row = tuple(tokens[-n:])
+        node = seen.get(row)
+        if node is None:
+            try:
+                counts = list(map(int, row))
+            except ValueError:
+                raise CorruptModelError(f"line {line_no}: non-integer count") from None
         context, key = tokens[:-n], 0
         if context != ["."]:
             try:
@@ -273,9 +283,12 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
         if key and not nodes:
             break
         try:
-            grammar._insert(key, counts, context)
+            grammar._check_context(key, context)
+            if node is None:
+                node = seen[row] = grammar._new_node(counts, context)
         except TonosegError as err:
             raise CorruptModelError(f"line {line_no}: {err}") from None
+        nodes[key] = node
     if not nodes:
         raise CorruptModelError("document has no root node")
     return grammar

@@ -53,6 +53,13 @@ class TrainConfig:
 
 
 class _Node:
+    """One context's successor counts (a list in alphabet order) and their sum.
+
+    Nodes are shared: ``load_model`` stores one node under every context
+    whose row has the same count tokens.  Nothing writes ``counts`` or
+    ``total`` once a grammar is built.
+    """
+
     __slots__ = ("counts", "total")
 
     def __init__(self, counts: list[int], total: int = 0):
@@ -82,14 +89,13 @@ def _smoothed_log_prob(node: _Node, a: int, smoothing: float, size: int) -> floa
 
     The single place the smoothed arithmetic lives: ``log_prob``,
     ``conditional``, the chain-rule scores and ``PatternGrammar.step`` all
-    call it, so their scores agree bitwise.
+    call it, so their scores agree bitwise.  Counts are never negative,
+    so a zero denominator has a zero numerator: the score is then -inf.
     """
-    denom = node.total + smoothing * size
-    if denom == 0:
-        raise TonosegError("no counts at matched context and smoothing is zero")
     num = node.counts[a] + smoothing
     if num == 0:
         return -math.inf
+    denom = node.total + smoothing * size
     p = num / denom
     return math.log(p) if p else math.log(num) - math.log(denom)  # p underflowed to 0
 
@@ -102,7 +108,9 @@ class PatternGrammar:
     0) to its successor counts, a list in alphabet order.  A retained
     context's suffixes are retained.
 
-    The counts are immutable once trained.  The decoders score through
+    The counts are immutable once trained or loaded: a loaded grammar
+    shares one node among the contexts of equal rows, so nothing may
+    write a node's ``counts`` or ``total``.  The decoders score through
     the grammar's context automaton (see ``step``), whose entries the
     grammar fills lazily, one (state, symbol) entry on first use, and
     keeps across calls, beside the Viterbi decoder's rows of entries
@@ -205,9 +213,15 @@ class PatternGrammar:
         return grammar
 
     def _insert(self, key: int, counts: list[int], context: Sequence) -> None:
-        """Store one context's successor counts, a list in alphabet order.  Its one-shorter
-        suffix must be stored already, so by induction all its suffixes are.
+        """Store one context's successor counts, a list in alphabet order.
         ``context`` (symbols or model-file tokens) names it in errors."""
+        self._check_context(key, context)
+        self._nodes[key] = self._new_node(counts, context)
+
+    def _check_context(self, key: int, context: Sequence) -> None:
+        """Raise unless context ``key`` may be stored next: it is new, not
+        deeper than ``max_depth``, and its one-shorter suffix is stored
+        already, so by induction all its suffixes are."""
         nodes, powers = self._nodes, self._powers
         length = bisect_right(powers, key)  # the context's symbol count
         if length > self.config.max_depth:
@@ -220,6 +234,10 @@ class PatternGrammar:
             )
         if key in nodes:
             raise TonosegError(f"duplicate context {context_text(context)!r}")
+
+    def _new_node(self, counts: list[int], context: Sequence) -> _Node:
+        """The node of one row of counts, which must be non-negative with a
+        finite smoothed total; ``context`` names the row in errors."""
         if min(counts, default=0) < 0:
             sym = next(s for s, c in zip(self.scheme.alphabet, counts) if c < 0)
             raise TonosegError(
@@ -232,7 +250,7 @@ class PatternGrammar:
             raise TonosegError(
                 f"counts in context {context_text(context)!r} too large: smoothed total is not finite"
             )
-        nodes[key] = _Node(counts, total)
+        return _Node(counts, total)
 
     # -- prediction ---------------------------------------------------
 
@@ -254,10 +272,14 @@ class PatternGrammar:
         """Smoothed successor distribution over the alphabet, in order.
 
         Only the last ``max_depth`` context symbols can matter.  With a
-        positive smoothing constant the result is strictly positive.
+        positive smoothing constant the result is strictly positive; a
+        matched context with no counts and zero smoothing has no
+        distribution and raises ``TonosegError``.
         """
         node = self._match(context)
         lam, size = self.config.smoothing, self._size
+        if node.total + lam * size == 0:
+            raise TonosegError("no counts at matched context and smoothing is zero")
         return tuple(math.exp(_smoothed_log_prob(node, a, lam, size)) for a in range(size))
 
     def log_prob(self, symbol, context: Sequence) -> float:

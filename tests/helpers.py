@@ -5,7 +5,24 @@ from __future__ import annotations
 import math
 import random
 
-from tonoseg.core import AlphabetError, Corpus, InvalidArgumentError, ProsodicWord, Tone, TonosegError, Turn
+from tonoseg.core import (
+    AlphabetError,
+    Corpus,
+    InvalidArgumentError,
+    ProsodicWord,
+    Tone,
+    TonosegError,
+    Turn,
+    UnknownSchemeError,
+    get_scheme,
+)
+from tonoseg.formats import (
+    MODEL_HEADER,
+    CorruptModelError,
+    SchemeMismatchError,
+    VersionError,
+    _content_lines,
+)
 from tonoseg.grammar import PatternGrammar, TrainConfig, _Node
 from tonoseg.synth import PlantedGrammar
 
@@ -103,3 +120,68 @@ def model_entropy_per_position(grammar: PatternGrammar, sequences) -> tuple[floa
         raise InvalidArgumentError("cannot measure entropy of an empty symbol stream")
     h = total / positions
     return h, h / math.log(grammar.scheme.size)
+
+
+def load_model_per_line(text: str, expected_scheme: str | None = None) -> PatternGrammar:
+    """Reference for ``formats.load_model``: every row's counts are parsed,
+    checked and stored as a node of its own, line by line."""
+    lines = _content_lines(text)
+
+    def next_line(what):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise CorruptModelError(f"document truncated: missing {what}") from None
+
+    line_no, header = next_line("header")
+    if header.strip() != MODEL_HEADER:
+        raise VersionError(f"expected header {MODEL_HEADER!r}, got {header.strip()!r}", line_no, 1)
+    _, scheme_line = next_line("scheme line")
+    parts = scheme_line.split()
+    if len(parts) != 2 or parts[0] != "scheme":
+        raise CorruptModelError(f"bad scheme line {scheme_line.strip()!r}")
+    scheme_id = parts[1]
+    if expected_scheme is not None and scheme_id != expected_scheme:
+        raise SchemeMismatchError(f"model scheme {scheme_id!r}, expected {expected_scheme!r}")
+    try:
+        scheme = get_scheme(scheme_id)
+    except UnknownSchemeError as err:
+        raise SchemeMismatchError(err.args[0]) from None
+    _, config_line = next_line("config line")
+    parts = config_line.split()
+    if len(parts) != 4 or parts[0] != "config":
+        raise CorruptModelError(f"bad config line {config_line.strip()!r}")
+    try:
+        grammar = PatternGrammar(scheme, TrainConfig(int(parts[1]), int(parts[2]), float(parts[3])))
+    except (ValueError, TonosegError) as err:
+        raise CorruptModelError(f"bad config values: {err}") from None
+
+    n, base, nodes = scheme.size, scheme.size + 1, grammar._nodes
+    digits = {str(s): d for d, s in reversed(list(enumerate(scheme.alphabet, 1)))}
+    nodes.clear()
+    for line_no, line in lines:
+        tokens = line.split()
+        if len(tokens) < n + 1:
+            raise CorruptModelError(f"line {line_no}: node line needs context plus {n} counts")
+        try:
+            counts = list(map(int, tokens[-n:]))
+        except ValueError:
+            raise CorruptModelError(f"line {line_no}: non-integer count") from None
+        context, key = tokens[:-n], 0
+        if context != ["."]:
+            try:
+                for token in context:
+                    key = key * base + digits[token]
+            except KeyError:
+                raise CorruptModelError(
+                    f"line {line_no}: token {token!r} is not a symbol of scheme {scheme_id!r}"
+                ) from None
+        if key and not nodes:
+            break
+        try:
+            grammar._insert(key, counts, context)
+        except TonosegError as err:
+            raise CorruptModelError(f"line {line_no}: {err}") from None
+    if not nodes:
+        raise CorruptModelError("document has no root node")
+    return grammar

@@ -127,6 +127,19 @@ def test_negative_model_count_exit_2(tmp_path, capsys):
     assert "negative count" in capsys.readouterr().err
 
 
+def test_zero_count_row_entropy_names_position_exit_2(tmp_path, capsys):
+    # Under zero smoothing a row that counts nothing gives its successors
+    # probability 0; the error names the first position that meets one.
+    model = tmp_path / "model.txt"
+    size = core.HIERARCHICAL.size
+    model.write_text(f"tonoseg-model v1\nscheme hier\nconfig 1 1 0.0\n.{' 1' * size}\nT{' 0' * size}\n")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("tonoseg-corpus v1\n( H L )\n( U S ) ( T D )\n")
+    assert main(["entropy", "--model", str(model), "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err == "tonoseg: error: sequence 1, position 7: unseen transition with zero smoothing\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_smoothing_exit_2(tmp_path, capsys, value):
     corpus = tmp_path / "uniform.txt"

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from tonoseg.core import (
     Corpus,
     EmptyWordError,
     PositionedError,
+    Tone,
     UnknownToneError,
     encode_corpus,
     scheme_ids,
@@ -31,10 +33,10 @@ from tonoseg.formats import (
     serialize_corpus,
     serialize_segmentation,
 )
-from tonoseg.grammar import PatternGrammar, TrainConfig, train
-from tonoseg.segment import SegmentationResult, WordSpan
-from tonoseg.synth import sample_corpus
-from helpers import random_corpus, random_planted, turn
+from tonoseg.grammar import PatternGrammar, TrainConfig, model_entropy, train
+from tonoseg.segment import SegmentationResult, WordSpan, segment_turn
+from tonoseg.synth import PlantedGrammar, sample_corpus
+from helpers import load_model_per_line, random_corpus, random_planted, turn
 
 HEADER = "tonoseg-corpus v1\n"
 MODEL_GOLDEN = Path(__file__).parent / "fixtures" / "model_golden.json"
@@ -376,6 +378,61 @@ def test_model_first_fault_in_line_order():
     with pytest.raises(CorruptModelError) as exc:
         load_model("\n".join(lines) + "\n")
     assert str(exc.value).startswith("line 5: negative count for ")
+
+
+# All eight tones, words of 2-5 tones, two word-final cues.  A depth-8,
+# min-count-1 grammar trained on it holds many contexts seen once, whose
+# rows count one successor once: most rows repeat another row.
+DEEP = PlantedGrammar(
+    word_lengths=((2, 0.2), (3, 0.3), (4, 0.3), (5, 0.2)),
+    interior_tones=tuple(
+        (Tone(k), p) for k, p in (("T", 0.15), ("M", 0.2), ("B", 0.15), ("H", 0.2), ("S", 0.15), ("U", 0.15))
+    ),
+    final_tones=((Tone.LOWER, 0.6), (Tone.DOWNSTEP, 0.4)),
+    turn_lengths=((2, 0.3), (3, 0.4), (4, 0.3)),
+    prominence=0.1,
+    seed=7,
+)
+
+
+@pytest.fixture(scope="module")
+def deep_model():
+    corpus = sample_corpus(DEEP, 500, seed=7)
+    return save_model(train(encode_corpus(corpus, HIERARCHICAL), HIERARCHICAL, TrainConfig(8, 1, 0.5)))
+
+
+def test_model_equal_rows_share_one_node(deep_model):
+    g = load_model(deep_model)
+    size = g.scheme.size
+    rows = {tuple(line.split()[-size:]) for line in deep_model.splitlines()[3:]}
+    assert len({id(node) for node in g._nodes.values()}) == len(rows) < g.node_count // 2
+    before = [(key, node.counts[:], node.total) for key, node in g._nodes.items()]
+    heldout = sample_corpus(DEEP, 200, seed=8)
+    sequences = encode_corpus(heldout, HIERARCHICAL)
+    for seq in sequences:
+        g.sequence_log_probability(seq)
+    model_entropy(g, sequences)
+    for t in heldout.turns[:20]:
+        segment_turn(g, t.tone_stream(), HIERARCHICAL)
+    list(g.iter_counts())
+    assert save_model(g) == deep_model
+    assert [(key, node.counts, node.total) for key, node in g._nodes.items()] == before
+
+
+def test_model_load_retains_at_most_55_percent_of_per_line(deep_model):
+    # Both loaders build the same dict of keys; sharing the nodes of equal
+    # rows is what the bytes still held after the load show.
+    def retained(loader):
+        tracemalloc.start()
+        try:
+            grammar = loader(deep_model)
+            return tracemalloc.get_traced_memory()[0], grammar.node_count
+        finally:
+            tracemalloc.stop()
+
+    shared, per_line = retained(load_model), retained(load_model_per_line)
+    assert shared[1] == per_line[1]
+    assert shared[0] <= 0.55 * per_line[0]
 
 
 # -- segmentation files ------------------------------------------------

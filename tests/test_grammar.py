@@ -91,6 +91,20 @@ def test_zero_smoothing_empty_grammar_raises():
         g.conditional([])
 
 
+def test_zero_count_row_under_zero_smoothing():
+    # A row that counts nothing (a model file may hold one; train keeps
+    # none): every symbol after its context scores -inf, model_entropy
+    # names the position, and conditional has no distribution there.
+    g = PatternGrammar.from_counts(TOY2, TrainConfig(1, 1, 0.0), [((), {"A": 1, "B": 1}), (("A",), {})])
+    assert g.log_prob("B", ["A"]) == -math.inf
+    assert g.sequence_log_probability(list("AB")) == -math.inf
+    assert g.sequence_log_probability(list("BB")) == pytest.approx(2 * math.log(0.5))
+    with pytest.raises(TonosegError, match="^sequence 1, position 2: unseen transition with zero smoothing$"):
+        model_entropy(g, [list("B"), list("BAB")])
+    with pytest.raises(TonosegError, match="^no counts at matched context and smoothing is zero$"):
+        g.conditional(["A"])
+
+
 def test_high_threshold_prunes_to_root():
     # every bigram occurs once, so min_count=10 keeps only the root
     seq = list("ABCDABDC")  # distinct adjacent pairs
