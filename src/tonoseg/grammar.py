@@ -1,10 +1,10 @@
 """Variable-length-context probabilistic grammar over symbol sequences.
 
 Frequent left contexts (up to a configurable depth) are stored with
-their successor counts; prediction finds the longest stored suffix of
-the history and applies add-lambda smoothing at that node.  Chain-rule
-sequence scores and entropy measures (with and without the grammar) are
-built on top.
+their successor counts; every score comes from ``PatternGrammar._log_prob``,
+which finds the longest stored suffix of the history and applies
+add-lambda smoothing at that node.  Chain-rule sequence scores and
+entropy measures (with and without the grammar) are built on top.
 
 A context is stored under one integer key, whose digits in base
 ``size + 1`` are its symbols' alphabet indexes plus one, the newest
@@ -22,7 +22,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .core import AlphabetError, EncodingScheme, InvalidArgumentError, TonosegError, context_text
 
@@ -84,29 +84,13 @@ def _longest_suffix(keys, key: int, powers: Sequence[int]) -> int:
     return key
 
 
-def _smoothed_log_prob(node: _Node, a: int, smoothing: float, size: int) -> float:
-    """ln P(symbol of index ``a``) under add-lambda smoothing at one context's node.
-
-    The single place the smoothed arithmetic lives: ``log_prob``,
-    ``conditional``, the chain-rule scores and ``PatternGrammar.step`` all
-    call it, so their scores agree bitwise.  Counts are never negative,
-    so a zero denominator has a zero numerator: the score is then -inf.
-    """
-    num = node.counts[a] + smoothing
-    if num == 0:
-        return -math.inf
-    denom = node.total + smoothing * size
-    p = num / denom
-    return math.log(p) if p else math.log(num) - math.log(denom)  # p underflowed to 0
-
-
 class PatternGrammar:
     """Trained contexts bound to a scheme and a training config.
 
     One dict maps each retained context's key (digits in base
     ``size + 1``, each a symbol index plus one, newest symbol lowest, root
     0) to its successor counts, a list in alphabet order.  A retained
-    context's suffixes are retained.
+    context's suffixes are retained.  Every score comes from ``_log_prob``.
 
     The counts are immutable once trained or loaded: a loaded grammar
     shares one node among the contexts of equal rows, so nothing may
@@ -137,8 +121,8 @@ class PatternGrammar:
         # Each symbol's digit in a context key, and base**L for L = 0..max_depth.
         self._digits = {s: i + 1 for i, s in enumerate(scheme.alphabet)}
         self._powers = [(scheme.size + 1) ** n for n in range(config.max_depth + 1)]
-        # The automaton (see ``step``): its prefix closure, built on the first miss, and entries.
-        self._closure: dict[int, _Node] | None = None
+        # The automaton (see ``step``): its set of state keys, built on the first miss, and entries.
+        self._closure: Container[int] | None = None
         self._entries: dict[int, tuple[int, float]] = {}
         # The decoder's rows (see ``segment.segment_turn``), filled like the entries.
         self._rows: dict[int, tuple] = {}
@@ -254,19 +238,29 @@ class PatternGrammar:
 
     # -- prediction ---------------------------------------------------
 
-    def _match(self, context: Sequence) -> _Node:
-        """Node of the longest retained suffix of the context.
+    def _log_prob(self, window: int, a: int) -> float:
+        """ln P of symbol index ``a`` after context key ``window``: add-lambda at its longest
+        retained suffix.  Every score comes from here, so all agree bitwise.  Counts are
+        never negative, so a zero denominator has a zero numerator: the score is -inf."""
+        nodes = self._nodes
+        node = nodes[_longest_suffix(nodes, window, self._powers)]
+        lam = self.config.smoothing
+        num = node.counts[a] + lam
+        if num == 0:
+            return -math.inf
+        denom = node.total + lam * self._size
+        p = num / denom
+        return math.log(p) if p else math.log(num) - math.log(denom)  # p underflowed to 0
 
-        Only the last ``max_depth`` symbols count, and none older than
-        the newest one outside the alphabet; the root always matches.
-        """
+    def _window(self, context: Sequence) -> int:
+        """Key of the context's last ``max_depth`` symbols, cut at the newest one outside the alphabet."""
         key = 0
         for depth in range(min(len(context), self.config.max_depth)):
             digit = self._digits.get(context[-1 - depth])
             if digit is None:
                 break
             key += digit * self._powers[depth]
-        return self._nodes[_longest_suffix(self._nodes, key, self._powers)]
+        return key
 
     def conditional(self, context: Sequence) -> tuple[float, ...]:
         """Smoothed successor distribution over the alphabet, in order.
@@ -276,18 +270,18 @@ class PatternGrammar:
         matched context with no counts and zero smoothing has no
         distribution and raises ``TonosegError``.
         """
-        node = self._match(context)
-        lam, size = self.config.smoothing, self._size
-        if node.total + lam * size == 0:
+        window = self._window(context)
+        scores = [self._log_prob(window, a) for a in range(self._size)]
+        if all(lp == -math.inf for lp in scores):
             raise TonosegError("no counts at matched context and smoothing is zero")
-        return tuple(math.exp(_smoothed_log_prob(node, a, lam, size)) for a in range(size))
+        return tuple(map(math.exp, scores))
 
     def log_prob(self, symbol, context: Sequence) -> float:
         """ln P(symbol | context); -inf when unsmoothed and unseen."""
         digit = self._digits.get(symbol)
         if digit is None:
             raise AlphabetError(f"symbol {symbol!r} not in scheme alphabet")
-        return _smoothed_log_prob(self._match(context), digit - 1, self.config.smoothing, self._size)
+        return self._log_prob(self._window(context), digit - 1)
 
     def step(self, state: int, a: int) -> tuple[int, float]:
         """(next state, ln P) for symbol index ``a`` read in ``state``.
@@ -298,8 +292,8 @@ class PatternGrammar:
         retained contexts closed under prefixes; the state of a history is
         its longest suffix among them.  The state of a history extended by
         one symbol is the longest such suffix of (state + symbol), and the
-        longest retained suffix of a history, which ``log_prob`` scores at,
-        is that of its state.  So one row per state gives every score.  The
+        longest retained suffix of a history, which ``_log_prob`` scores at,
+        is that of its state, so an entry scores ``_log_prob(state, a)``.  The
         closure matters: with the context ``H L`` retained but ``H`` pruned,
         the state after ``H`` must remember the ``H``.  Trained grammars are
         closed under prefixes (a context's prefix occurs wherever the context
@@ -316,18 +310,18 @@ class PatternGrammar:
         if entry is None:
             powers, closure = self._powers, self._closure
             if closure is None:
-                # Each key maps to the node its state scores at: its longest retained suffix.
-                nodes, missing = self._nodes, {}
+                # The retained keys and their other prefixes (``_nodes`` itself if none).
+                nodes, missing = self._nodes, set()
                 for key in nodes:
                     key //= size + 1
                     while key not in nodes and key not in missing:
-                        missing[key] = nodes[_longest_suffix(nodes, key, powers)]
+                        missing.add(key)
                         key //= size + 1
-                closure = self._closure = {**nodes, **missing} if missing else nodes
+                closure = self._closure = nodes.keys() | missing if missing else nodes
             longer = (state * (size + 1) + a + 1) % powers[-1]
             entry = self._entries[state * size + a] = (
                 _longest_suffix(closure, longer, powers),
-                _smoothed_log_prob(closure[state], a, self.config.smoothing, size),
+                self._log_prob(state, a),
             )
         return entry
 
@@ -338,20 +332,19 @@ class PatternGrammar:
         predicted from the empty context.  Returns -inf if an unseen
         transition meets zero smoothing.
         """
-        nodes, digits, powers = self._nodes, self._digits, self._powers
-        lam, size = self.config.smoothing, self._size
-        top = powers[self.config.max_depth]
+        digits, log_prob, base = self._digits, self._log_prob, self._size + 1
+        top = self._powers[self.config.max_depth]
         total = 0.0
         window = 0  # key of the last max_depth symbols
         for sym in symbols:
             digit = digits.get(sym)
             if digit is None:
                 raise AlphabetError(f"symbol {sym!r} not in scheme alphabet")
-            lp = _smoothed_log_prob(nodes[_longest_suffix(nodes, window, powers)], digit - 1, lam, size)
+            lp = log_prob(window, digit - 1)
             if lp == -math.inf:
                 return -math.inf
             total += lp
-            window = (window * (size + 1) + digit) % top
+            window = (window * base + digit) % top
         return total
 
 
@@ -466,9 +459,8 @@ def model_entropy(
         n_categories = grammar.scheme.size
     if n_categories < 2:
         raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
-    nodes, digits, powers = grammar._nodes, grammar._digits, grammar._powers
-    lam, size, base = grammar.config.smoothing, grammar._size, grammar._size + 1
-    top = powers[grammar.config.max_depth]
+    digits, log_prob, base = grammar._digits, grammar._log_prob, grammar._size + 1
+    top = grammar._powers[grammar.config.max_depth]
     memo: dict[int, float] = {}  # event -> ln P
     total = 0.0
     positions = 0
@@ -486,9 +478,7 @@ def model_entropy(
             lp = memo.get(event)
             if lp is None:
                 # An event's first occurrence is its only miss, so the error names it.
-                lp = memo[event] = _smoothed_log_prob(
-                    nodes[_longest_suffix(nodes, window, powers)], digit - 1, lam, size
-                )
+                lp = memo[event] = log_prob(window, digit - 1)
                 if lp == -math.inf:
                     raise TonosegError(
                         f"sequence {si}, position {i}: unseen transition with zero smoothing"

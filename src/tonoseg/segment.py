@@ -144,6 +144,14 @@ def _check_inputs(grammar: PatternGrammar, tones: Sequence[Tone], scheme: Encodi
         raise SegmentationError("segmentation requires positive smoothing")
 
 
+def _as_tone(element) -> Tone:
+    """A stream element as a ``Tone``; a string equal to one passes, anything else raises."""
+    try:
+        return Tone(element)
+    except ValueError:
+        raise SegmentationError(f"stream element {element!r} is not a tone") from None
+
+
 def _prominence_options(scheme: EncodingScheme) -> tuple[bool, ...]:
     return (False, True) if scheme.prominence != "none" else (False,)
 
@@ -184,6 +192,7 @@ def brute_force_segment(
     schemes); refuses streams longer than 14 tones.
     """
     _check_inputs(grammar, tones, scheme)
+    tones = [_as_tone(t) for t in tones]
     n = len(tones)
     if n > 14:
         raise SegmentationError(f"brute force limited to 14 tones, got {n}")
@@ -228,6 +237,7 @@ def _tone(scheme: EncodingScheme, tone: Tone, close: int, opens: tuple) -> tuple
     the row index of the continuation's target and the window digit it
     appends, and per option the row index of the new word's open ln P and
     the window digits that the close, the open and the tone append."""
+    tone = _as_tone(tone)  # the decoder's table lacks non-tones, so they raise here
     syms = tuple(scheme.index(scheme.tone_symbol(tone, p)) for p in _prominence_options(scheme))
     base = scheme.size + 1
     continues = tuple((2 * p, a + 1) for p, a in enumerate(syms))

@@ -4,12 +4,15 @@ chain rule.
 ``train`` must give the model text of the per-length reference tally.
 
 The decoder must equal the brute-force oracle (spans and bitwise score),
-and the table and the chain-rule scores must reproduce ``log_prob``
-bitwise, on trained grammars and on hand-built ones whose contexts need
-not be closed under prefixes.  Runs are derandomized so the suite
-repeats exactly.
+and the table, ``conditional`` and the chain-rule scores must reproduce
+``log_prob`` bitwise, on trained grammars and on hand-built ones whose
+contexts need not be closed under prefixes.  The scoring properties also
+draw zero smoothing, so unseen events score -inf; the decoder's keep
+positive smoothing, which it requires.  Runs are derandomized so the
+suite repeats exactly.
 """
 
+import math
 import random
 import re
 
@@ -33,22 +36,23 @@ from tonoseg.segment import brute_force_segment, segment_turn
 from helpers import TONES, model_entropy_per_position, random_corpus, train_per_length
 
 SCHEMES = (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
+SMOOTHINGS = (0.1, 0.5, 1.0)
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def configs(draw):
+def configs(draw, smoothings=SMOOTHINGS):
     return TrainConfig(
-        draw(st.integers(0, 5)), draw(st.integers(1, 3)), draw(st.sampled_from([0.1, 0.5, 1.0]))
+        draw(st.integers(0, 5)), draw(st.integers(1, 3)), draw(st.sampled_from(smoothings))
     )
 
 
 @st.composite
-def trained_grammars(draw):
+def trained_grammars(draw, smoothings=SMOOTHINGS):
     scheme = draw(st.sampled_from(SCHEMES))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     corpus = random_corpus(rng, rng.randint(1, 15))
-    return train(encode_corpus(corpus, scheme), scheme, draw(configs()))
+    return train(encode_corpus(corpus, scheme), scheme, draw(configs(smoothings)))
 
 
 @st.composite
@@ -73,11 +77,11 @@ def test_train_equals_per_length_tally(case):
 
 
 @st.composite
-def hand_built_grammars(draw):
+def hand_built_grammars(draw, smoothings=SMOOTHINGS):
     """Slices of encoded turns as contexts, closed under suffixes only
     (so mostly not under prefixes), with small random counts."""
     scheme = draw(st.sampled_from(SCHEMES))
-    config = draw(configs())
+    config = draw(configs(smoothings))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     seqs = encode_corpus(random_corpus(rng, 3), scheme)
     contexts = {()}
@@ -117,6 +121,9 @@ def tone_blind_grammars(draw):
 
 
 grammars = st.one_of(trained_grammars(), hand_built_grammars())
+scoring_grammars = st.one_of(
+    trained_grammars((0.0,) + SMOOTHINGS), hand_built_grammars((0.0,) + SMOOTHINGS)
+)
 
 
 def symbol_lists(grammar, data, max_pieces=12):
@@ -144,21 +151,42 @@ def test_decoder_breaks_ties_like_oracle(grammar, stream):
 
 
 @PROPERTY
-@given(grammars, st.data())
+@given(scoring_grammars, st.data())
 def test_table_scores_equal_log_prob(grammar, data):
-    # Sequences built from retained contexts reach the deep states.
+    # Sequences built from retained contexts reach the deep states.  Under
+    # zero smoothing a context whose every score is -inf has no
+    # distribution, and conditional says so.
     scheme = grammar.scheme
     seq = symbol_lists(grammar, data)
     state, total = 0, 0.0
     for i, sym in enumerate(seq):
-        state, lp = grammar.step(state, scheme.index(sym))
+        index = scheme.index(sym)
+        state, lp = grammar.step(state, index)
         assert lp == grammar.log_prob(sym, seq[:i])
+        try:
+            dist = grammar.conditional(seq[:i])
+        except TonosegError as exc:
+            assert (type(exc), str(exc)) == (TonosegError, "no counts at matched context and smoothing is zero")
+            assert all(grammar.log_prob(s, seq[:i]) == -math.inf for s in scheme.alphabet)
+        else:
+            assert dist[index].hex() == math.exp(lp).hex()
         total += lp
     assert total == grammar.sequence_log_probability(seq)
 
 
+def assert_entropy_equals_per_position_sum(grammar, seqs):
+    """Equal floats, bitwise, or the same error (type and message)."""
+    try:
+        expected = model_entropy_per_position(grammar, seqs)
+    except TonosegError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            model_entropy(grammar, seqs)
+    else:
+        assert [x.hex() for x in model_entropy(grammar, seqs)] == [x.hex() for x in expected]
+
+
 @PROPERTY
-@given(grammars, st.data())
+@given(scoring_grammars, st.data())
 def test_chain_scores_equal_log_prob(grammar, data):
     # sequence_log_probability and model_entropy roll one context key
     # along the sequence; log_prob builds each context's key afresh.
@@ -170,7 +198,7 @@ def test_chain_scores_equal_log_prob(grammar, data):
             total += grammar.log_prob(sym, seq[max(0, i - depth) : i])
         assert grammar.sequence_log_probability(seq).hex() == total.hex()
     if any(seqs):
-        assert model_entropy(grammar, seqs) == model_entropy_per_position(grammar, seqs)
+        assert_entropy_equals_per_position_sum(grammar, seqs)
 
 
 @st.composite
@@ -193,15 +221,8 @@ def entropy_cases(draw):
 @example((train([TONES[:2] * 3], FLAT, TrainConfig(2, 1, 0.0)), [TONES[:2] * 2, TONES[:2] * 2 + TONES[:1]] * 2))
 def test_model_entropy_equals_per_position_sum(case):
     # model_entropy scores each distinct event once; the reference scores
-    # every position afresh.  Equal floats, or the same error.
-    grammar, seqs = case
-    try:
-        expected = model_entropy_per_position(grammar, seqs)
-    except TonosegError as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            model_entropy(grammar, seqs)
-    else:
-        assert [x.hex() for x in model_entropy(grammar, seqs)] == [x.hex() for x in expected]
+    # every position afresh.
+    assert_entropy_equals_per_position_sum(*case)
 
 
 FOREIGN = ("?", Marker.PROM_WORD_OPEN, ProminentTone.TOP, Marker.WORD_OPEN)

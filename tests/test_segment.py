@@ -3,6 +3,7 @@ import gc
 import json
 import pickle
 import random
+import re
 import sys
 import time
 import weakref
@@ -19,6 +20,7 @@ from tonoseg.core import (
     HIERARCHY_PROMINENCE,
     HIERARCHY_PROMINENCE_TONES,
     Marker,
+    ProminentTone,
     Tone,
     encode_corpus,
     get_scheme,
@@ -278,6 +280,23 @@ def test_segment_errors():
         segment_turn(g0, [H], HIERARCHICAL)
     with pytest.raises(SegmentationError):
         brute_force_segment(g, [H] * 15, HIERARCHICAL)
+
+
+@pytest.mark.parametrize("scheme", [HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES])
+def test_non_tones_in_stream_raise(scheme):
+    # Markers and lowercase prominent tones are symbols, not tones: the
+    # decoder and the oracle refuse them alike, first in the stream or
+    # later.  Strings equal to a tone are that tone.
+    g = trained(scheme, random.Random(38))
+    for bad in (Marker.WORD_OPEN, Marker.TURN_CLOSE, ProminentTone.LOWER, "l", 3):
+        message = f"^stream element {re.escape(repr(bad))} is not a tone$"
+        for stream in ([bad, L], [H, L, bad]):
+            for decode in (segment_turn, brute_force_segment):
+                with pytest.raises(SegmentationError, match=message):
+                    decode(g, stream, scheme)
+    want = segment_turn(g, [H, L, T], scheme)
+    assert segment_turn(g, ["H", "L", "T"], scheme) == want
+    assert brute_force_segment(g, ["H", "L", "T"], scheme) == want
 
 
 def test_segment_corpus_order_and_errors():
