@@ -60,6 +60,12 @@ def confusion(reference: Corpus, predicted: Sequence[SegmentationResult]) -> Con
 
     Requires one prediction per turn, over the same number of tones.
     Span prominence is ignored.
+
+    A turn's boundary slots are compared as two sets of word ends (the
+    last word's excluded): the reference's, summed from its word lengths,
+    and the prediction's, read off its spans.  Their intersection holds
+    the true positives, and the remaining slots of the turn are true
+    negatives, so no per-slot vectors are built.
     """
     if len(reference.turns) != len(predicted):
         raise EvaluationError(
@@ -68,20 +74,22 @@ def confusion(reference: Corpus, predicted: Sequence[SegmentationResult]) -> Con
         )
     tp = fp = fn = tn = 0
     for i, (turn, result) in enumerate(zip(reference.turns, predicted)):
-        if turn.tone_count != result.n_tones:
+        n = turn.tone_count
+        if n != result.n_tones:
             raise EvaluationError(
-                f"turn {i}: reference has {turn.tone_count} tones, "
-                f"prediction covers {result.n_tones}"
+                f"turn {i}: reference has {n} tones, prediction covers {result.n_tones}"
             )
-        for ref, pred in zip(turn.boundary_slots(), result.boundary_slots()):
-            if ref and pred:
-                tp += 1
-            elif ref:
-                fn += 1
-            elif pred:
-                fp += 1
-            else:
-                tn += 1
+        ref = set()
+        pos = 0
+        for word in turn.words[:-1]:
+            pos += len(word.tones)
+            ref.add(pos)
+        pred = {span.end for span in result.spans[:-1]}
+        both = len(ref & pred)
+        tp += both
+        fn += len(ref) - both
+        fp += len(pred) - both
+        tn += n - 1 - len(ref) - len(pred) + both
     return ConfusionMatrix(tp, fp, fn, tn)
 
 

@@ -178,11 +178,17 @@ def serialize_corpus(corpus: Corpus) -> str:
         if len(value.splitlines()) > 1 or value != value.strip():
             raise TonosegError(f"metadata value for {key!r} must be a single trimmed line")
         out.append(f"@{key} {value}".rstrip())
+    # A word's id -> its text.  Turns share word objects, and the corpus
+    # keeps each alive for the whole call, so an id is never reused here.
+    texts: dict[int, str] = {}
     for turn in corpus.turns:
         words = []
         for w in turn.words:
-            opener = "*(" if w.prominent else "("
-            words.append(f"{opener} {' '.join(str(t) for t in w.tones)} )")
+            text = texts.get(id(w))
+            if text is None:
+                opener = "*(" if w.prominent else "("
+                text = texts[id(w)] = f"{opener} {' '.join(str(t) for t in w.tones)} )"
+            words.append(text)
         out.append(" ".join(words))
     return "\n".join(out) + "\n"
 
@@ -307,22 +313,57 @@ def serialize_segmentation(results) -> str:
 
 def parse_segmentation(text: str) -> list[SegmentationResult]:
     """Inverse of ``serialize_segmentation``; scores are not stored in the
-    file, so results carry NaN log-probabilities."""
+    file, so results carry NaN log-probabilities.
+
+    A line is read by a fast path (``_read_segmentation_line``) that splits
+    it at whitespace and reads each distinct span token once per call;
+    spans are immutable, so results share them.  A line the fast path does
+    not accept is parsed again by ``_parse_segmentation_line``, which
+    reports the error."""
     results = []
+    spans_of: dict[str, WordSpan] = {}  # a span token -> its span
     for line_no, line in _content_lines(text):
-        spans = []
-        for m in _TOKEN.finditer(line):
-            token, col = m.group(), m.start() + 1
+        result = _read_segmentation_line(line, spans_of)
+        results.append(result if result is not None else _parse_segmentation_line(line, line_no))
+    return results
+
+
+def _read_segmentation_line(line: str, spans_of: dict) -> SegmentationResult | None:
+    """The result of a well-formed line whose spans tile the stream, or
+    None; ``spans_of`` maps each span token read so far to its span."""
+    spans = []
+    pos = 0
+    for token in line.split():
+        span = spans_of.get(token)
+        if span is None:
             sm = _SPAN.match(token)
             if not sm:
-                raise SegmentationFormatError(f"bad span token {token!r}", line_no, col)
+                return None
             try:
-                start, end = int(sm.group(1)), int(sm.group(2))
+                span = spans_of[token] = WordSpan(int(sm[1]), int(sm[2]), sm[3] == "*")
             except ValueError:  # a bound past int's digit limit
-                raise SegmentationFormatError(f"bad span token {token!r}", line_no, col) from None
-            spans.append(WordSpan(start, end, sm.group(3) == "*"))
+                return None
+        start, end, _ = span
+        if start != pos or end <= start:
+            return None
+        pos = end
+        spans.append(span)
+    return SegmentationResult._of(tuple(spans), math.nan)
+
+
+def _parse_segmentation_line(line: str, line_no: int) -> SegmentationResult:
+    spans = []
+    for m in _TOKEN.finditer(line):
+        token, col = m.group(), m.start() + 1
+        sm = _SPAN.match(token)
+        if not sm:
+            raise SegmentationFormatError(f"bad span token {token!r}", line_no, col)
         try:
-            results.append(SegmentationResult(tuple(spans), math.nan))
-        except TonosegError as err:
-            raise SegmentationFormatError(str(err), line_no, 1) from None
-    return results
+            start, end = int(sm.group(1)), int(sm.group(2))
+        except ValueError:  # a bound past int's digit limit
+            raise SegmentationFormatError(f"bad span token {token!r}", line_no, col) from None
+        spans.append(WordSpan(start, end, sm.group(3) == "*"))
+    try:
+        return SegmentationResult(tuple(spans), math.nan)
+    except TonosegError as err:
+        raise SegmentationFormatError(str(err), line_no, 1) from None

@@ -292,7 +292,11 @@ def segment_turn(
     # last max_depth symbols.  The first tone opens the first word.
     state, lp = step(0, turn_open)
     window = (turn_open + 1) % modulus
-    syms = (known.get(tones[0]) or _tone(scheme, tones[0], close, opens))[1]
+    try:
+        syms = (known.get(tones[0]) or _tone(scheme, tones[0], close, opens))[1]
+    except TypeError:  # an unhashable element: not a tone either
+        _as_tone(tones[0])
+        raise
     entries = []
     for p, a in enumerate(syms):
         opened, lp1 = step(state, opens[p])
@@ -301,7 +305,11 @@ def segment_turn(
         entries.append((lp + lp1 + lp2, 1, 1, p, w, target))
 
     for tone in islice(tones, 1, None):
-        k, syms, continues, news = known.get(tone) or _tone(scheme, tone, close, opens)
+        try:
+            k, syms, continues, news = known.get(tone) or _tone(scheme, tone, close, opens)
+        except TypeError:
+            _as_tone(tone)
+            raise
         merged: dict = {}  # window * 2 + prominence -> best candidate
         get = merged.get
         for score, words, bits, pbits, window, state in entries:

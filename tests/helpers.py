@@ -16,6 +16,7 @@ from tonoseg.core import (
     UnknownSchemeError,
     get_scheme,
 )
+from tonoseg.evaluate import ConfusionMatrix, EvaluationError
 from tonoseg.formats import (
     MODEL_HEADER,
     CorruptModelError,
@@ -185,3 +186,30 @@ def load_model_per_line(text: str, expected_scheme: str | None = None) -> Patter
     if not nodes:
         raise CorruptModelError("document has no root node")
     return grammar
+
+
+def confusion_per_slot(reference: Corpus, predicted) -> ConfusionMatrix:
+    """Reference for ``evaluate.confusion``: each turn's two boundary-slot
+    vectors, compared slot by slot."""
+    if len(reference.turns) != len(predicted):
+        raise EvaluationError(
+            f"turn count mismatch: reference has {len(reference.turns)}, "
+            f"prediction has {len(predicted)}"
+        )
+    tp = fp = fn = tn = 0
+    for i, (turn, result) in enumerate(zip(reference.turns, predicted)):
+        if turn.tone_count != result.n_tones:
+            raise EvaluationError(
+                f"turn {i}: reference has {turn.tone_count} tones, "
+                f"prediction covers {result.n_tones}"
+            )
+        for ref, pred in zip(turn.boundary_slots(), result.boundary_slots()):
+            if ref and pred:
+                tp += 1
+            elif ref:
+                fn += 1
+            elif pred:
+                fp += 1
+            else:
+                tn += 1
+    return ConfusionMatrix(tp, fp, fn, tn)

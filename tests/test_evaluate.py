@@ -1,9 +1,12 @@
 import math
 import random
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tonoseg.core import Corpus, InvalidArgumentError
+from tonoseg.core import Corpus, InvalidArgumentError, ProsodicWord, Turn
 from tonoseg.evaluate import (
     ConfusionMatrix,
     EvaluationError,
@@ -14,7 +17,7 @@ from tonoseg.evaluate import (
     metrics,
 )
 from tonoseg.segment import SegmentationResult, WordSpan
-from helpers import random_corpus, turn
+from helpers import TONES, confusion_per_slot, random_corpus, turn
 
 
 def one_word_result(n):
@@ -95,6 +98,49 @@ def test_confusion_totals():
         assert m.tp + m.fn == ref_positives
         assert m.tp + m.fp == pred_positives
         assert m.total_slots == sum(t.tone_count - 1 for t in corpus.turns)
+
+
+words = st.builds(ProsodicWord, st.lists(st.sampled_from(TONES), min_size=1, max_size=4), st.booleans())
+corpora = st.builds(Corpus, st.lists(st.builds(Turn, st.lists(words, min_size=1, max_size=4)), max_size=6))
+
+
+@st.composite
+def predictions(draw, corpus):
+    """One segmentation per turn: the reference's own word ends, or random
+    cuts; now and then over a wrong tone count, or a turn too few or many."""
+    results = []
+    for t in corpus.turns:
+        n = t.tone_count
+        if draw(st.integers(0, 9)) == 0:
+            n = draw(st.integers(1, n + 2).filter(lambda k: k != n))
+        if n == t.tone_count and draw(st.booleans()):
+            cuts = set(accumulate(len(w.tones) for w in t.words[:-1]))
+        else:
+            cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        bounds = [0, *sorted(cuts), n]
+        spans = [WordSpan(a, b, draw(st.booleans())) for a, b in zip(bounds, bounds[1:])]
+        results.append(SegmentationResult(spans, math.nan))
+    if draw(st.integers(0, 9)) == 0:
+        if results and draw(st.booleans()):
+            del results[draw(st.integers(0, len(results) - 1))]
+        else:
+            results.append(one_word_result(draw(st.integers(1, 5))))
+    return results
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_confusion_equals_per_slot_reference(data):
+    corpus = data.draw(corpora)
+    predicted = data.draw(predictions(corpus))
+
+    def compare(count):
+        try:
+            return count(corpus, predicted)
+        except EvaluationError as err:
+            return str(err)
+
+    assert compare(confusion) == compare(confusion_per_slot)
 
 
 # -- metrics -----------------------------------------------------------

@@ -15,6 +15,7 @@ from tonoseg.core import (
     EmptyWordError,
     PositionedError,
     Tone,
+    Turn,
     UnknownToneError,
     encode_corpus,
     scheme_ids,
@@ -36,7 +37,7 @@ from tonoseg.formats import (
 from tonoseg.grammar import PatternGrammar, TrainConfig, model_entropy, train
 from tonoseg.segment import SegmentationResult, WordSpan, segment_turn
 from tonoseg.synth import PlantedGrammar, sample_corpus
-from helpers import load_model_per_line, random_corpus, random_planted, turn
+from helpers import load_model_per_line, random_corpus, random_planted, turn, word
 
 HEADER = "tonoseg-corpus v1\n"
 MODEL_GOLDEN = Path(__file__).parent / "fixtures" / "model_golden.json"
@@ -113,6 +114,37 @@ def test_repeated_words_parse_to_equal_turns():
     assert c.turns[0] == c.turns[2] and c.turns[0].words[:2] == c.turns[1].words
     assert serialize_corpus(c) == text
     assert parse_corpus(serialize_corpus(c)) == c
+
+
+def word_by_word(corpus):
+    """``serialize_corpus``'s text of a metadata-free corpus, each word
+    written where it occurs."""
+    lines = [
+        " ".join(f"{'*(' if w.prominent else '('} {' '.join(t.value for t in w.tones)} )" for w in t.words)
+        for t in corpus.turns
+    ]
+    return HEADER + "".join(line + "\n" for line in lines)
+
+
+def test_serialize_shared_words_like_word_by_word():
+    # One word object in many turns, beside an equal but distinct object
+    # and the same tones of the other prominence, each written as itself.
+    shared, twin, starred, other = word("TH"), word("TH"), word("TH", True), word("L")
+    shared_starred, twin_starred = word("UD", True), word("UD", True)
+    turns = [
+        Turn((shared, twin)),
+        Turn((starred, shared, other)),
+        Turn((shared,) * 3),
+        Turn((twin_starred, shared_starred, twin, shared_starred)),
+        Turn((other, shared_starred, shared)),
+    ] * 7
+    c = Corpus(tuple(turns))
+    assert twin == shared and twin is not shared
+    assert serialize_corpus(c) == word_by_word(c)
+    assert parse_corpus(serialize_corpus(c)) == c
+    # sample_corpus shares one object per distinct word
+    sampled = Corpus(sample_corpus(random_planted(random.Random(24), prominence=0.5), 500, seed=6).turns)
+    assert serialize_corpus(sampled) == word_by_word(sampled)
 
 
 def test_serialize_round_trip_minimal():

@@ -6,9 +6,9 @@ segmentation files, planted-grammar specs) may only raise
 unchanged.  ``load_model``, which builds each distinct row once, agrees
 with the per-line reference loader on every mutated model.  The corpus
 parser's fast path for turn lines agrees with the token-by-token parser
-that reports errors.  Random corpora and segmentations survive a write
-and a read.  ``decode_turn`` accepts exactly what ``encode_turn``
-produces.
+that reports errors, and so does the segmentation reader's fast path.
+Random corpora and segmentations survive a write and a read.
+``decode_turn`` accepts exactly what ``encode_turn`` produces.
 The saved models are the pinned ones of ``fixtures/model_golden.json``
 (four schemes, depth 0-8).  Runs are derandomized so the suite repeats
 exactly.
@@ -37,7 +37,9 @@ from tonoseg.core import (
     get_scheme,
 )
 from tonoseg.formats import (
+    _parse_segmentation_line,
     _parse_turn_line,
+    _read_segmentation_line,
     _read_turn_line,
     load_model,
     parse_corpus,
@@ -284,6 +286,48 @@ def test_parse_segmentation_raises_only_tonoseg_errors(text):
         return
     again = parse_segmentation(serialize_segmentation(results))
     assert [r.spans for r in again] == [r.spans for r in results]
+
+
+# Segmentation lines the fast path must hand on: spans that do not tile
+# ("3-3", "2-1", a gap, an overlap), Unicode digits, and a bound past
+# int's digit limit; the tokens sit between whitespace that is not a space.
+SEGMENTATION_DOCUMENTS = [
+    "0-2 2-3*\n0-1\n# c\n0-1* 1-4\n",
+    "0-1 1-1 1-3\n3-3\n0-3 3-3*\n2-1\n0-2 1-3\n0-1 2-3\n1-2",
+    "\u0660-\u0662 \u0662-3*\n0-\uff11 1-2\n0-2\t2-3\x1f3-4\xa04-5\u30005-6*\x0b6-7",
+    "0-1 1-" + "2" * 4301 + "\n0-" + "9" * 4301 + "*\n0-1 1-2",
+]
+SEGMENTATION_CHARACTERS = "0123456789-*#x\u0663\u0968\uff11 \n" + SPACES + LINE_BREAKS
+
+
+@FUZZ
+@given(mutated_text(SEGMENTATION_DOCUMENTS, SEGMENTATION_CHARACTERS))
+def test_fast_segmentation_reader_agrees_with_parser(text):
+    # Lines as parse_segmentation sees them; one span memo, as in one call.
+    spans_of = {}
+    for line in text.splitlines():
+        fast = _read_segmentation_line(line, spans_of)
+        try:
+            slow = _parse_segmentation_line(line, 1)
+        except TonosegError:
+            assert fast is None
+        else:
+            assert fast is None or (fast.spans == slow.spans and math.isnan(fast.log_prob))
+
+
+@FUZZ
+@given(mutated_text(SEGMENTATION_DOCUMENTS, SEGMENTATION_CHARACTERS))
+def test_parse_segmentation_fast_path_keeps_errors(text):
+    # With the fast path off, every line goes through _parse_segmentation_line.
+    def parse():
+        try:
+            return [(r.spans, math.isnan(r.log_prob)) for r in parse_segmentation(text)]
+        except TonosegError as err:
+            return type(err), str(err), err.line, err.column
+
+    with mock.patch.object(formats, "_read_segmentation_line", lambda line, spans_of: None):
+        expected = parse()
+    assert parse() == expected
 
 
 SPEC = (Path(__file__).parent.parent / "demos" / "planted_example.json").read_text()

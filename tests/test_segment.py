@@ -286,9 +286,10 @@ def test_segment_errors():
 def test_non_tones_in_stream_raise(scheme):
     # Markers and lowercase prominent tones are symbols, not tones: the
     # decoder and the oracle refuse them alike, first in the stream or
-    # later.  Strings equal to a tone are that tone.
+    # later, and so an element that cannot be hashed.  Strings equal to a
+    # tone are that tone.
     g = trained(scheme, random.Random(38))
-    for bad in (Marker.WORD_OPEN, Marker.TURN_CLOSE, ProminentTone.LOWER, "l", 3):
+    for bad in (Marker.WORD_OPEN, Marker.TURN_CLOSE, ProminentTone.LOWER, "l", 3, ["L"]):
         message = f"^stream element {re.escape(repr(bad))} is not a tone$"
         for stream in ([bad, L], [H, L, bad]):
             for decode in (segment_turn, brute_force_segment):
