@@ -73,11 +73,16 @@ _TONE_OF = {t.value: t for t in Tone}
 
 def _content_lines(text: str):
     """(line_no, line) pairs with comments and blank lines dropped."""
-    for i, line in enumerate(text.splitlines(), start=1):
+    return _drop_comments(enumerate(text.splitlines(), start=1))
+
+
+def _drop_comments(numbered):
+    """The (line_no, line) pairs of ``numbered`` whose line is neither
+    blank nor a comment (first non-space character ``#``)."""
+    for i, line in numbered:
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield i, line
+        if stripped and not stripped.startswith("#"):
+            yield i, line
 
 
 def parse_corpus(text: str) -> Corpus:
@@ -221,10 +226,20 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
     ``expected_scheme`` pins the scheme id the caller requires; a
     different id in the document raises ``SchemeMismatchError``.
 
-    Rows with equal count tokens share one node (one counts list), so
+    A row as ``save_model`` writes it (single spaces, its one-shorter
+    suffix the latest row of that length, as a depth-first walk gives)
+    takes a fast path: its key is its first token's digit on top of the
+    suffix's key, and it needs no other check.  Any other row, and any
+    row that fails a check, goes through the row-by-row reader, which
+    reports the error with its line.  A file written in another
+    suffix-closed order loads to the same grammar, only slower.
+
+    Rows with equal counts text share one node (one counts list), so
     the grammar's counts must never be mutated.
     """
-    lines = _content_lines(text)
+    # The header lines come through ``lines``; the rows straight from ``numbered``.
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = _drop_comments(numbered)
 
     def next_line(what):
         try:
@@ -257,28 +272,58 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
     except (ValueError, TonosegError) as err:
         raise CorruptModelError(f"bad config values: {err}") from None
 
-    # Each row goes straight into the grammar under its context key.  A token's
-    # digit is its symbol's; reversed, so a token shared by two names the first.
-    n, base, nodes = scheme.size, scheme.size + 1, grammar._nodes
+    # A token's digit is its symbol's; reversed, so a token shared by two names the first.
+    n, base, nodes, powers = scheme.size, scheme.size + 1, grammar._nodes, grammar._powers
+    depth = grammar.config.max_depth
     digits = {str(s): d for d, s in reversed(list(enumerate(scheme.alphabet, 1)))}
+    # The tokens that can open a row of the fast path: not the root, a comment or split apart.
+    firsts = {t: d for t, d in digits.items() if t != "." and t[:1] != "#" and t.split() == [t]}
     nodes.clear()  # the rows bring every node, the root first
-    # A row's count tokens -> the node built and checked where they first
+    # texts[L] and keys[L]: the context text (tokens joined by single
+    # spaces) and key of the latest row stored with L symbols.
+    texts: list[str | None] = [None] * (depth + 1)
+    keys = [0] * (depth + 1)
+    # A row's counts text -> the node built and checked where it first
     # occurred.  Deep contexts repeat a few rows, and a row's count checks
-    # depend on its tokens only, so a repeat skips them and shares the node.
-    seen: dict[tuple, _Node] = {}
-    for line_no, line in lines:
+    # depend on its counts only, so a repeat skips them and shares the node.
+    seen: dict[str, _Node] = {}
+    for line_no, line in numbered:
+        parts = line.rsplit(" ", n)
+        first, _, suffix = parts[0].partition(" ")
+        length = suffix.count(" ") + 1 if suffix else 0
+        # The fast path: a new context no deeper than max_depth whose suffix
+        # is stored, so ``_check_context`` would pass.
+        if length < depth and texts[length] == suffix and first in firsts:
+            key = firsts[first] * powers[length] + keys[length]
+            if key not in nodes:
+                counts_text = line[len(parts[0]) + 1 :]
+                node = seen.get(counts_text)
+                if node is None and len(parts) > n and counts_text.split() == parts[1:]:
+                    try:
+                        node = seen[counts_text] = grammar._new_node(list(map(int, parts[1:])), ())
+                    except (ValueError, TonosegError):
+                        pass  # reported below, with the row's context
+                if node is not None:
+                    nodes[key] = node
+                    texts[length + 1], keys[length + 1] = parts[0], key
+                    continue
+        # Every other row: its key from every token, then ``_check_context``.
         tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue  # a blank or comment line
         if len(tokens) < n + 1:
             raise CorruptModelError(f"line {line_no}: node line needs context plus {n} counts")
-        row = tuple(tokens[-n:])
-        node = seen.get(row)
+        counts_text = " ".join(tokens[-n:])
+        node = seen.get(counts_text)
         if node is None:
             try:
-                counts = list(map(int, row))
+                counts = list(map(int, tokens[-n:]))
             except ValueError:
                 raise CorruptModelError(f"line {line_no}: non-integer count") from None
         context, key = tokens[:-n], 0
-        if context != ["."]:
+        if context == ["."]:
+            context = []
+        else:
             try:
                 for token in context:
                     key = key * base + digits[token]
@@ -291,10 +336,11 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
         try:
             grammar._check_context(key, context)
             if node is None:
-                node = seen[row] = grammar._new_node(counts, context)
+                node = seen[counts_text] = grammar._new_node(counts, context)
         except TonosegError as err:
             raise CorruptModelError(f"line {line_no}: {err}") from None
         nodes[key] = node
+        texts[len(context)], keys[len(context)] = " ".join(context), key
     if not nodes:
         raise CorruptModelError("document has no root node")
     return grammar

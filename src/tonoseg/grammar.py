@@ -56,8 +56,8 @@ class _Node:
     """One context's successor counts (a list in alphabet order) and their sum.
 
     Nodes are shared: ``load_model`` stores one node under every context
-    whose row has the same count tokens.  Nothing writes ``counts`` or
-    ``total`` once a grammar is built.
+    whose row has the same counts text (its count tokens, single-spaced).
+    Nothing writes ``counts`` or ``total`` once a grammar is built.
     """
 
     __slots__ = ("counts", "total")

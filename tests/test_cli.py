@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,6 +399,19 @@ def test_help_exits_zero_and_documents_defaults(capsys):
     assert main(["train", "--help"]) == 0
     out = capsys.readouterr().out
     assert "default: 4" in out and "default: 2" in out and "default: 0.5" in out
+
+
+def test_python_m_tonoseg_runs_the_cli():
+    # A fresh interpreter that finds the package through PYTHONPATH alone.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "tonoseg", *argv], env=env, capture_output=True, text=True)
+
+    helped = run("--help")
+    assert helped.returncode == 0 and "usage" in helped.stdout
+    assert run().returncode == 1
 
 
 def test_segment_output_marks_prominence(tmp_path):

@@ -388,6 +388,7 @@ def test_model_bad_rows_rejected():
         (f".{zeros}\n. 1 2{zeros[4:]}\n", "line 5: duplicate context '.'"),
         (f".{zeros}\nH{zeros}\nH H{zeros}\n", "line 6: context 'H H' longer than max_depth=1"),
         (f"H{zeros}\n.{zeros}\n", "document has no root node"),
+        (f".{zeros}\nH{zeros[2:]}\n", "line 5: node line needs context plus 10 counts"),
     ):
         with pytest.raises(CorruptModelError) as exc:
             load_model(head + rows)
@@ -399,6 +400,21 @@ def test_model_shared_token_names_first_symbol(monkeypatch):
     core.register_scheme(core.EncodingScheme("toy-shared", (1, "1")))
     g = load_model("tonoseg-model v1\nscheme toy-shared\nconfig 1 1 0.5\n. 1 1\n1 2 0\n")
     assert list(g.iter_counts()) == [((), {1: 1, "1": 1}), ((1,), {1: 2})]
+
+
+def test_model_tokens_named_like_root_or_comment(monkeypatch):
+    # Under a scheme with the tokens ".", "#a" and "c\xa0d", a row "." is the
+    # root again, a row "#a" a comment line and "c\xa0d" two tokens.
+    monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))
+    core.register_scheme(core.EncodingScheme("toy-dot", (".", "#a", "c\xa0d")))
+    head = "tonoseg-model v1\nscheme toy-dot\nconfig 1 1 0.5\n. 1 1 1\n"
+    assert list(load_model(head + "#a 2 0 0\n").iter_counts()) == [((), {".": 1, "#a": 1, "c\xa0d": 1})]
+    for row, message in (
+        (". 2 0 0", r"duplicate context '\.'"),
+        ("c\xa0d 2 0 0", "token 'c' is not a symbol of scheme 'toy-dot'"),
+    ):
+        with pytest.raises(CorruptModelError, match=rf"^line 5: {message}$"):
+            load_model(f"{head}{row}\n")
 
 
 def test_model_first_fault_in_line_order():
@@ -451,19 +467,49 @@ def test_model_equal_rows_share_one_node(deep_model):
     assert [(key, node.counts, node.total) for key, node in g._nodes.items()] == before
 
 
+def test_model_rows_out_of_depth_first_order(deep_model):
+    # Rows breadth first, with a comment line, a blank line and a
+    # tab-separated row.  Most rows' suffix is not the latest row of its
+    # length, so they go the row-by-row route, which must still share
+    # equal rows.  Depth first, rows whose counts are spaced oddly must
+    # share them too.
+    head, rows = deep_model.splitlines()[:3], deep_model.splitlines()[3:]
+    size = HIERARCHICAL.size
+    counts = {tuple(row.split()[-size:]) for row in rows}
+    wide = rows[:]
+    for i in range(1, len(wide), 97):
+        context, _, last = wide[i].rpartition(" ")
+        wide[i] = f"{context} \t{last}"
+    rows.sort(key=lambda row: 0 if row.startswith(". ") else len(row.split()))
+    rows[len(rows) // 2] = rows[len(rows) // 2].replace(" ", "\t")
+    rows[100:100] = ["# breadth first", ""]
+    for body in (rows, wide):
+        g = load_model("\n".join(head + body) + "\n")
+        assert save_model(g) == deep_model
+        assert len({id(node) for node in g._nodes.values()}) == len(counts)
+
+
+def traced_load(loader, text):
+    """(bytes held after the load, peak bytes during it, node count)."""
+    tracemalloc.start()
+    try:
+        grammar = loader(text)
+        return (*tracemalloc.get_traced_memory(), grammar.node_count)
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_load_peak_at_most_70_percent_of_per_line(deep_model):
+    _, peak, _ = traced_load(load_model, deep_model)
+    _, per_line, _ = traced_load(load_model_per_line, deep_model)
+    assert peak <= 0.7 * per_line
+
+
 def test_model_load_retains_at_most_55_percent_of_per_line(deep_model):
     # Both loaders build the same dict of keys; sharing the nodes of equal
     # rows is what the bytes still held after the load show.
-    def retained(loader):
-        tracemalloc.start()
-        try:
-            grammar = loader(deep_model)
-            return tracemalloc.get_traced_memory()[0], grammar.node_count
-        finally:
-            tracemalloc.stop()
-
-    shared, per_line = retained(load_model), retained(load_model_per_line)
-    assert shared[1] == per_line[1]
+    shared, per_line = traced_load(load_model, deep_model), traced_load(load_model_per_line, deep_model)
+    assert shared[2] == per_line[2]
     assert shared[0] <= 0.55 * per_line[0]
 
 

@@ -3,8 +3,11 @@
 Mutated copies of valid documents (saved models, corpus files,
 segmentation files, planted-grammar specs) may only raise
 ``TonosegError``; whatever they parse to must write and read back
-unchanged.  ``load_model``, which builds each distinct row once, agrees
-with the per-line reference loader on every mutated model.  The corpus
+unchanged.  ``load_model``, which reads rows written depth first with
+single spaces on a fast path and builds each distinct row once, agrees
+with the per-line reference loader on every mutated model, including
+rows with odd whitespace, comment and blank lines between rows, and rows
+moved past their own subtree's rows.  The corpus
 parser's fast path for turn lines agrees with the token-by-token parser
 that reports errors, and so does the segmentation reader's fast path.
 Random corpora and segmentations survive a write and a read.
@@ -82,7 +85,11 @@ def mutated_models(draw):
             break
         rows = st.sampled_from(range(3, len(lines)))
         i = draw(rows)
-        kind = draw(st.sampled_from(["token", "count", "drop", "duplicate", "swap", "copy"]))
+        kind = draw(
+            st.sampled_from(
+                ["token", "count", "drop", "duplicate", "swap", "copy", "space", "comment", "subtree"]
+            )
+        )
         if kind == "drop":
             del lines[i]
         elif kind == "duplicate":
@@ -93,8 +100,37 @@ def mutated_models(draw):
         elif kind == "copy":  # another row's count tokens onto this row
             n, other = scheme.size, lines[draw(rows)].split()
             lines[i] = " ".join(lines[i].split()[:-n] + other[-n:])
+        elif kind == "space":  # a doubled space, a tab, a leading or trailing space
+            line = lines[i]
+            spaces = [j for j, c in enumerate(line) if c == " "]
+            how = draw(st.sampled_from(["double", "tab", "lead", "trail"] if spaces else ["lead", "trail"]))
+            if how == "lead":
+                lines[i] = " " + line
+            elif how == "trail":
+                lines[i] = line + " "
+            else:
+                j = draw(st.sampled_from(spaces))
+                lines[i] = line[:j] + ("  " if how == "double" else "\t") + line[j + 1 :]
+        elif kind == "comment":  # a comment or blank line between rows
+            lines.insert(draw(rows), draw(st.sampled_from(["# " + lines[i], "#", "", "  "])))
+        elif kind == "subtree":  # the row moved to just before a row that extends its context
+            n = scheme.size
+            tail = lines[i].split()[:-n]
+            tail = [] if tail == ["."] else tail
+            below = [
+                k
+                for k in range(3, len(lines))
+                if len(context := lines[k].split()[:-n]) > len(tail)
+                and context != ["."]
+                and context[len(context) - len(tail) :] == tail
+            ]
+            if below:
+                k = draw(st.sampled_from(below))
+                lines.insert(k - (k > i), lines.pop(i))
         else:
             row = lines[i].split()
+            if len(row) <= scheme.size:  # not a row: a blank line or a bare '#'
+                continue
             if kind == "token":
                 j = draw(st.integers(0, len(row) - scheme.size - 1))
                 row[j] = draw(st.sampled_from(tokens + [".", "?", "H*"]))
