@@ -149,9 +149,9 @@ def _build_parser() -> _Parser:
     add_scheme(p)
     p.add_argument("--corpus", required=True, help="input corpus file")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--max-depth", type=int, default=4, help="longest retained context (default: %(default)s)")
-    p.add_argument("--min-count", type=int, default=2, help="context retention threshold (default: %(default)s)")
-    p.add_argument("--smoothing", type=float, default=0.5, help="add-lambda smoothing (default: %(default)s)")
+    p.add_argument("--max-depth", type=int, default=TrainConfig.max_depth, help="longest retained context (default: %(default)s)")
+    p.add_argument("--min-count", type=int, default=TrainConfig.min_count, help="context retention threshold (default: %(default)s)")
+    p.add_argument("--smoothing", type=float, default=TrainConfig.smoothing, help="add-lambda smoothing (default: %(default)s)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("entropy", help="entropy of a corpus with and without a model")

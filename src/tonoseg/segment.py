@@ -32,12 +32,13 @@ tuples.  Its floats are the automaton's own, added in emission order.
 Ties are broken deterministically: higher score first, then fewer
 words, then the lexicographically smallest boundary vector, then the
 smallest prominence vector (all-plain preferred), the order of
-``brute_force_segment``'s key.  Each entry carries its boundary vector
-as an integer with one bit per tone (1 where a word opens) and its
-prominence vector with one bit per word.  All entries of a step have
-as many boundary bits, and equal boundary vectors hold as many words,
-so comparing the integers compares the vectors, and merging and the
-final choice both compare ``(-score, words, bits, prominence bits)``.
+``brute_force_segment``'s key.  A candidate is five fields: score,
+boundary bits (one per tone, 1 where a word opens), prominence bits
+(one per word), window and automaton state.  Entries of a step have as
+many boundary bits, so comparing integers compares vectors.  Merging
+on an exact score tie and the final choice compare ``(-score, words,
+bits, prominence bits)``, where ``words`` is ``bits.bit_count()``.  The
+stream is checked once, before any automaton entry or row is filled.
 
 The result is built straight from the winner's two integers: the
 boundary bits as one binary string, from which ``str.find`` jumps from
@@ -265,6 +266,17 @@ def _row(grammar: PatternGrammar, state: int, syms: tuple, close: int, opens: tu
     return row
 
 
+def _plan(scheme: EncodingScheme, tones: Sequence, known: dict, close: int, opens: tuple) -> list:
+    try:  # each stream element's ``_tone`` constants, looked up once per turn
+        return [known[t] for t in tones]
+    except (KeyError, TypeError):  # then ``_tone`` raises at the first bad element
+        return [_tone(scheme, t, close, opens) for t in tones]
+
+
+def _fewer(bits: int, pbits: int, old: tuple) -> bool:
+    return (bits.bit_count(), bits, pbits) < (old[1].bit_count(), old[1], old[2])
+
+
 def segment_turn(
     grammar: PatternGrammar,
     tones: Sequence[Tone],
@@ -281,38 +293,26 @@ def segment_turn(
     """
     _check_inputs(grammar, tones, scheme)
     close, opens, turn_open, turn_close, known = _layout(scheme)
+    plan = _plan(scheme, tones, known, close, opens)
     step, rows, size = grammar.step, grammar._rows, grammar._size
     base = size + 1
     wrap = base**3  # a close, an open and a tone
     modulus = grammar._powers[-1]
     closing = 2 * len(opens)  # a row's index of the word close's ln P
 
-    # An entry is (score, words, boundary bits, prominence bits, window,
-    # automaton state).  The window is the grammar's context key of the
-    # last max_depth symbols.  The first tone opens the first word.
     state, lp = step(0, turn_open)
     window = (turn_open + 1) % modulus
-    try:
-        syms = (known.get(tones[0]) or _tone(scheme, tones[0], close, opens))[1]
-    except TypeError:  # an unhashable element: not a tone either
-        _as_tone(tones[0])
-        raise
-    entries = []
-    for p, a in enumerate(syms):
+    entries = []  # candidates (see the module docstring); the first tone opens the first word
+    for p, a in enumerate(plan[0][1]):
         opened, lp1 = step(state, opens[p])
         target, lp2 = step(opened, a)
         w = ((window * base + opens[p] + 1) % modulus * base + a + 1) % modulus
-        entries.append((lp + lp1 + lp2, 1, 1, p, w, target))
+        entries.append((lp + lp1 + lp2, 1, p, w, target))
 
-    for tone in islice(tones, 1, None):
-        try:
-            k, syms, continues, news = known.get(tone) or _tone(scheme, tone, close, opens)
-        except TypeError:
-            _as_tone(tone)
-            raise
+    for k, syms, continues, news in islice(plan, 1, None):
         merged: dict = {}  # window * 2 + prominence -> best candidate
         get = merged.get
-        for score, words, bits, pbits, window, state in entries:
+        for score, bits, pbits, window, state in entries:
             row = rows.get(state * size + k) or _row(grammar, state, syms, close, opens)
             bits <<= 1
             # continue the current word
@@ -322,12 +322,11 @@ def segment_turn(
             w = (window * base + digit) % modulus
             key = w * 2 + p
             old = get(key)
-            if old is None or s > old[0] or (s == old[0] and (words, bits, pbits) < old[1:4]):
-                merged[key] = (s, words, bits, pbits, w, row[i])
+            if old is None or s > old[0] or (s == old[0] and _fewer(bits, pbits, old)):
+                merged[key] = (s, bits, pbits, w, row[i])
             # or close it and open a new word
             score += row[closing]
             window *= wrap
-            words += 1
             bits |= 1
             pbits <<= 1
             for p, i, digits in news:
@@ -335,16 +334,16 @@ def segment_turn(
                 w = (window + digits) % modulus
                 key = w * 2 + p
                 old = get(key)
-                if old is None or s > old[0] or (s == old[0] and (words, bits, pbits | p) < old[1:4]):
-                    merged[key] = (s, words, bits, pbits | p, w, row[i + 1])
+                if old is None or s > old[0] or (s == old[0] and _fewer(bits, pbits | p, old)):
+                    merged[key] = (s, bits, pbits | p, w, row[i + 1])
         entries = merged.values()
 
     finals = []
-    for score, words, bits, pbits, _, state in entries:
+    for score, bits, pbits, _, state in entries:
         closed, lp = step(state, close)
         score += lp
         _, lp = step(closed, turn_close)
-        finals.append((-(score + lp), words, bits, pbits))
+        finals.append((-(score + lp), bits.bit_count(), bits, pbits))
     total, words, bits, pbits = min(finals)
     # One char per tone, "1" where a word opens (always the first tone),
     # and a "1" after the last tone to end the last word.

@@ -9,9 +9,11 @@ clock or machine entropy.
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -208,6 +210,10 @@ def test_acceptance_8_cli_determinism(tmp_path):
         )
     )
 
+    # The subprocess finds the package in the checkout's src/, as pytest does.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run_once(workdir):
         workdir.mkdir()
         corpus = workdir / "corpus.txt"
@@ -222,7 +228,7 @@ def test_acceptance_8_cli_determinism(tmp_path):
         ]
         for argv in commands:
             proc = subprocess.run(
-                [sys.executable, "-m", "tonoseg.cli", *argv], capture_output=True, text=True
+                [sys.executable, "-m", "tonoseg.cli", *argv], env=env, capture_output=True, text=True
             )
             assert proc.returncode == 0, (argv, proc.stderr)
         return [corpus.read_bytes(), model.read_bytes(), seg.read_bytes(), report_file.read_bytes()]

@@ -286,15 +286,19 @@ def test_segment_errors():
 def test_non_tones_in_stream_raise(scheme):
     # Markers and lowercase prominent tones are symbols, not tones: the
     # decoder and the oracle refuse them alike, first in the stream or
-    # later, and so an element that cannot be hashed.  Strings equal to a
-    # tone are that tone.
+    # later, and so an element that cannot be hashed.  The stream is
+    # checked before any automaton entry or decoder row is filled, so a
+    # refused call leaves the grammar's tables as they were.  Strings
+    # equal to a tone are that tone.
     g = trained(scheme, random.Random(38))
     for bad in (Marker.WORD_OPEN, Marker.TURN_CLOSE, ProminentTone.LOWER, "l", 3, ["L"]):
         message = f"^stream element {re.escape(repr(bad))} is not a tone$"
-        for stream in ([bad, L], [H, L, bad]):
+        for stream in ([bad, L], [H, L, bad], [H, L, T, H, bad]):
             for decode in (segment_turn, brute_force_segment):
+                rows, entries = dict(g._rows), dict(g._entries)
                 with pytest.raises(SegmentationError, match=message):
                     decode(g, stream, scheme)
+                assert g._rows == rows and g._entries == entries
     want = segment_turn(g, [H, L, T], scheme)
     assert segment_turn(g, ["H", "L", "T"], scheme) == want
     assert brute_force_segment(g, ["H", "L", "T"], scheme) == want
