@@ -11,8 +11,10 @@ A context is stored under one integer key, whose digits in base
 symbol lowest; the empty context (the root) is 0.  For a key of ``L``
 symbols, dropping the oldest symbol is ``key % base**(L - 1)``,
 dropping the newest is ``key // base`` and appending the symbol of
-index ``a`` is ``key * base + a + 1``.  The decoder's window
-(``segment.segment_turn``) is the key of the last ``max_depth`` symbols.
+index ``a`` is ``key * base + a + 1``.  The chain-rule scorers roll
+the key of the last ``max_depth`` symbols along a sequence; the
+decoders step through the automaton of ``PatternGrammar.step``, whose
+states are context keys too.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ class PatternGrammar:
         self._entries: dict[int, tuple[int, float]] = {}
         # The decoder's rows (see ``segment.segment_turn``), filled like the entries.
         self._rows: dict[int, tuple] = {}
+        # A bound on -ln P of one symbol (see ``_surprisal_bound``), computed on first use.
+        self._surprisal: float | None = None
 
     # -- structure ----------------------------------------------------
 
@@ -251,6 +255,18 @@ class PatternGrammar:
         denom = node.total + lam * self._size
         p = num / denom
         return math.log(p) if p else math.log(num) - math.log(denom)  # p underflowed to 0
+
+    def _surprisal_bound(self) -> float:
+        """An upper bound on -ln P of any one symbol under positive smoothing, with a
+        slack of 1: every smoothed count is at least lambda and every smoothed total at
+        most the largest row total plus lambda * size.  Kept like the closure: a pure
+        function of the immutable counts."""
+        bound = self._surprisal
+        if bound is None:
+            lam = self.config.smoothing
+            top = max(node.total for node in self._nodes.values())
+            bound = self._surprisal = math.log(top + lam * self._size) - math.log(lam) + 1.0
+        return bound
 
     def _window(self, context: Sequence) -> int:
         """Key of the context's last ``max_depth`` symbols, cut at the newest one outside the alphabet."""

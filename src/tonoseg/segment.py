@@ -9,17 +9,37 @@ tested against.  The oracle scores each symbol through the grammar's
 context automaton (``PatternGrammar.step``); the decoder reads rows of
 the same automaton's entries.
 
-``segment_turn`` is a Viterbi pass.  After each tone it keeps one
-entry per merge state: the last ``max_depth`` symbols (the window: the
-grammar's context key of those symbols, one integer in base
-``size + 1``) and the current word's prominence.
-Predictions depend on at most ``max_depth`` preceding symbols, so two
-partial candidates in the same merge state score every continuation
-alike and only the better one is kept.  The number of merge states
-depends on ``max_depth``, not on the turn length (at most 8 per tone on
-the default depth under ``hierprom``).
+``segment_turn`` is a Viterbi pass.  After each tone it keeps the best
+candidate per merge key ``state * 2 + m``: ``state`` is the automaton
+state after the candidate's last symbol, and ``m`` is 1 only when the
+current word is prominent and the scheme writes a prominent word's tones
+as symbols of their own (``hierprom-tones``).  ``step`` is a function of
+the state and the symbol, so candidates with one key add the same ln P
+values, in the same order, to every continuation.  The keys of a tone
+are bounded by the grammar, not by the turn length: on the benchmark's
+workloads the decoder holds 2.6 to 4.4 candidates per tone.
 
-After the first tone, an entry expands by one row per tone: the chain
+Merging on the key alone would not be exact in floating point: a
+prefix that scores strictly lower can tie after the same values are
+added to both, and then the oracle's tie key may prefer it.  So a
+candidate is dropped without comparing tie keys only when it scores
+more than ``margin`` below another of its key, where ``margin = 2 * M
+* ulp(M * L)``.  ``M = 3n + 3`` bounds the symbols of an ``n``-tone
+turn and ``L`` bounds -ln P of one symbol
+(``PatternGrammar._surprisal_bound``), so ``M * L`` bounds every partial
+score.  Floating-point addition is monotone, and one addition moves the
+gap between two scores by at most one ulp of the largest partial sum, so
+a candidate more than the margin below another stays strictly below it
+on every continuation (the factor 2 covers the rounding of the
+comparison itself).  Within the margin the decoder keeps every
+candidate that no other candidate of its key beats in both score and
+tie key, and expands these extras like any other candidate.  The
+oracle's winner then is never dropped, and the decoder returns exactly
+what ``brute_force_segment`` returns.  Near ties are rare: on the
+benchmark's workloads no extra was kept, and on twelve random turns of
+1,000 tones over two tones at most 10 were kept after any one tone.
+
+After the first tone, a candidate expands by one row per tone: the chain
 of ``step`` calls for its automaton state and the tone, computed on first use and kept on the
 grammar (``_rows``) under ``state * size +`` the plain tone symbol's
 index.  The row is one flat tuple: for each prominence option the
@@ -32,12 +52,12 @@ tuples.  Its floats are the automaton's own, added in emission order.
 Ties are broken deterministically: higher score first, then fewer
 words, then the lexicographically smallest boundary vector, then the
 smallest prominence vector (all-plain preferred), the order of
-``brute_force_segment``'s key.  A candidate is five fields: score,
+``brute_force_segment``'s key.  A candidate is four fields: score,
 boundary bits (one per tone, 1 where a word opens), prominence bits
-(one per word), window and automaton state.  Entries of a step have as
-many boundary bits, so comparing integers compares vectors.  Merging
-on an exact score tie and the final choice compare ``(-score, words,
-bits, prominence bits)``, where ``words`` is ``bits.bit_count()``.  The
+(one per word) and merge key.  Candidates of a step have as many
+boundary bits, so comparing integers compares vectors.  Merging on an
+exact score tie and the final choice compare ``(-score, words, bits,
+prominence bits)``, where ``words`` is ``bits.bit_count()``.  The
 stream is checked once, before any automaton entry or row is filled.
 
 The result is built straight from the winner's two integers: the
@@ -52,13 +72,14 @@ n costs O(n / 30) machine words on top of its constant work and a turn
 costs O(n**2 / 30) in all.  The cost per tone is flat up to a few
 thousand tones (the longest turns the benchmark and the linearity test
 decode) and grows slowly beyond: under ``hierprom`` on a 2-CPU machine,
-about 9-10 µs per tone at 200 and 3200 tones, 10-11 at 12,800 and
-12-14 at 25,300 tones (in the benchmark's reference seconds, default
+about 4.4-4.8 µs per tone at 200 and 3200 tones, 5.3-6.1 at 12,800 and
+6.1-6.8 at 25,314 tones (in the benchmark's reference seconds, default
 ``TrainConfig`` on 20,000 planted-cue words).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -217,36 +238,26 @@ def brute_force_segment(
 @lru_cache(maxsize=None)
 def _layout(scheme: EncodingScheme) -> tuple:
     """``segment_turn``'s per-scheme constants, computed once per scheme:
-    the word-close index, the word-open index per prominence option, the
-    turn-open and turn-close indexes, and ``_tone``'s constants of each
-    tone whose symbols the scheme has."""
+    the word-close index, the word-open index per prominence option, per
+    option a new word's row index and merge-key bit, the turn-open and
+    turn-close indexes, and ``_tone``'s constants of each tone whose
+    symbols the scheme has."""
     index = scheme.index
     options = _prominence_options(scheme)
     close = index(Marker.WORD_CLOSE)
     opens = tuple(index(scheme.word_open_symbol(p)) for p in options)
-    tones = {
-        t: _tone(scheme, t, close, opens)
-        for t in Tone
-        if all(scheme.tone_symbol(t, p) in scheme for p in options)
-    }
-    return close, opens, index(Marker.TURN_OPEN), index(Marker.TURN_CLOSE), tones
+    marks = scheme.prominence == "tones"  # a prominent word's tones are symbols of their own
+    news = tuple((p, 2 * len(opens) + 1 + 3 * p, p if marks else 0) for p in range(len(options)))
+    tones = {t: _tone(scheme, t) for t in Tone if all(scheme.tone_symbol(t, p) in scheme for p in options)}
+    return close, opens, news, index(Marker.TURN_OPEN), index(Marker.TURN_CLOSE), tones
 
 
-def _tone(scheme: EncodingScheme, tone: Tone, close: int, opens: tuple) -> tuple:
+def _tone(scheme: EncodingScheme, tone: Tone) -> tuple:
     """A tone's constants in ``segment_turn``: its row-key offset (the plain
-    tone symbol's index), its symbol index per prominence option, per option
-    the row index of the continuation's target and the window digit it
-    appends, and per option the row index of the new word's open ln P and
-    the window digits that the close, the open and the tone append."""
+    tone symbol's index) and its symbol index per prominence option."""
     tone = _as_tone(tone)  # the decoder's table lacks non-tones, so they raise here
     syms = tuple(scheme.index(scheme.tone_symbol(tone, p)) for p in _prominence_options(scheme))
-    base = scheme.size + 1
-    continues = tuple((2 * p, a + 1) for p, a in enumerate(syms))
-    news = tuple(
-        (p, 2 * len(opens) + 1 + 3 * p, ((close + 1) * base + opens[p] + 1) * base + a + 1)
-        for p, a in enumerate(syms)
-    )
-    return syms[0], syms, continues, news
+    return syms[0], syms
 
 
 def _row(grammar: PatternGrammar, state: int, syms: tuple, close: int, opens: tuple) -> tuple:
@@ -266,15 +277,45 @@ def _row(grammar: PatternGrammar, state: int, syms: tuple, close: int, opens: tu
     return row
 
 
-def _plan(scheme: EncodingScheme, tones: Sequence, known: dict, close: int, opens: tuple) -> list:
+def _plan(scheme: EncodingScheme, tones: Sequence, known: dict) -> list:
     try:  # each stream element's ``_tone`` constants, looked up once per turn
         return [known[t] for t in tones]
     except (KeyError, TypeError):  # then ``_tone`` raises at the first bad element
-        return [_tone(scheme, t, close, opens) for t in tones]
+        return [_tone(scheme, t) for t in tones]
 
 
-def _fewer(bits: int, pbits: int, old: tuple) -> bool:
-    return (bits.bit_count(), bits, pbits) < (old[1].bit_count(), old[1], old[2])
+def _rank(candidate: tuple) -> tuple:
+    """A candidate's place in the final order: higher score, fewer words,
+    smaller boundary bits, smaller prominence bits."""
+    score, bits, pbits, _ = candidate
+    return -score, bits.bit_count(), bits, pbits
+
+
+def _near(merged: dict, near: dict, candidate: tuple) -> None:
+    """File a candidate within the margin of its key's best: the one of the
+    two that ranks first is the best, the other joins the key's extras."""
+    key = candidate[3]
+    best = merged[key]
+    if _rank(candidate) < _rank(best):
+        merged[key], candidate = candidate, best
+    near.setdefault(key, []).append(candidate)
+
+
+def _extras(merged: dict, near: dict, margin: float) -> list:
+    """The extras worth expanding: per key, those at most ``margin`` below
+    the best that no candidate of the key beats in score and oracle key."""
+    kept = []
+    for key, group in near.items():
+        best = merged[key]
+        beaten = _rank(best)[1:]  # the least tie key of a candidate ranked before
+        for candidate in sorted(group, key=_rank):
+            if candidate[0] < best[0] - margin:
+                break
+            order = _rank(candidate)[1:]
+            if order < beaten:
+                kept.append(candidate)
+                beaten = order
+    return kept
 
 
 def segment_turn(
@@ -284,63 +325,62 @@ def segment_turn(
 ) -> SegmentationResult:
     """Maximum-score boundary (and prominence) placement, by exact DP.
 
-    See the module docstring for the merge state, the integer key and
-    the rows.  Prefix scores accumulate symbol by symbol in emission
-    order, which keeps them bitwise equal to ``sequence_log_probability``
-    of the same candidate.  The winner's spans are read off its boundary
-    and prominence bits in one pass, O(n) in the turn length, and returned
+    See the module docstring for the merge key, the margin and the rows.
+    Prefix scores accumulate symbol by symbol in emission order, which
+    keeps them bitwise equal to ``sequence_log_probability`` of the same
+    candidate.  The winner's spans are read off its boundary and
+    prominence bits in one pass, O(n) in the turn length, and returned
     without the tiling check of ``SegmentationResult(...)``.
     """
     _check_inputs(grammar, tones, scheme)
-    close, opens, turn_open, turn_close, known = _layout(scheme)
-    plan = _plan(scheme, tones, known, close, opens)
+    close, opens, news, turn_open, turn_close, known = _layout(scheme)
+    plan = _plan(scheme, tones, known)
     step, rows, size = grammar.step, grammar._rows, grammar._size
-    base = size + 1
-    wrap = base**3  # a close, an open and a tone
-    modulus = grammar._powers[-1]
     closing = 2 * len(opens)  # a row's index of the word close's ln P
+    most = 3 * len(plan) + 3  # more than the symbols of the turn
+    margin = 2 * most * math.ulp(most * grammar._surprisal_bound())
 
     state, lp = step(0, turn_open)
-    window = (turn_open + 1) % modulus
     entries = []  # candidates (see the module docstring); the first tone opens the first word
-    for p, a in enumerate(plan[0][1]):
+    for p, _, m in news:
         opened, lp1 = step(state, opens[p])
-        target, lp2 = step(opened, a)
-        w = ((window * base + opens[p] + 1) % modulus * base + a + 1) % modulus
-        entries.append((lp + lp1 + lp2, 1, p, w, target))
+        target, lp2 = step(opened, plan[0][1][p])
+        entries.append((lp + lp1 + lp2, 1, p, target * 2 + m))
 
-    for k, syms, continues, news in islice(plan, 1, None):
-        merged: dict = {}  # window * 2 + prominence -> best candidate
+    for k, syms in islice(plan, 1, None):
+        merged: dict = {}  # key -> best candidate
+        near: dict = {}  # key -> other candidates within the margin (see ``_near``)
         get = merged.get
-        for score, bits, pbits, window, state in entries:
+        for score, bits, pbits, key in entries:
+            m = key & 1
+            state = key >> 1
             row = rows.get(state * size + k) or _row(grammar, state, syms, close, opens)
             bits <<= 1
             # continue the current word
-            p = pbits & 1
-            i, digit = continues[p]
-            s = score + row[i + 1]
-            w = (window * base + digit) % modulus
-            key = w * 2 + p
+            s = score + row[2 * m + 1]
+            key = row[2 * m] * 2 + m
             old = get(key)
-            if old is None or s > old[0] or (s == old[0] and _fewer(bits, pbits, old)):
-                merged[key] = (s, bits, pbits, w, row[i])
+            if old is None or s > old[0] + margin:
+                merged[key] = (s, bits, pbits, key)
+            elif s >= old[0] - margin:
+                _near(merged, near, (s, bits, pbits, key))
             # or close it and open a new word
             score += row[closing]
-            window *= wrap
             bits |= 1
             pbits <<= 1
-            for p, i, digits in news:
+            for p, i, m in news:
                 s = score + row[i] + row[i + 2]
-                w = (window + digits) % modulus
-                key = w * 2 + p
+                key = row[i + 1] * 2 + m
                 old = get(key)
-                if old is None or s > old[0] or (s == old[0] and _fewer(bits, pbits | p, old)):
-                    merged[key] = (s, bits, pbits | p, w, row[i + 1])
-        entries = merged.values()
+                if old is None or s > old[0] + margin:
+                    merged[key] = (s, bits, pbits | p, key)
+                elif s >= old[0] - margin:
+                    _near(merged, near, (s, bits, pbits | p, key))
+        entries = [*merged.values(), *_extras(merged, near, margin)] if near else merged.values()
 
     finals = []
-    for score, bits, pbits, _, state in entries:
-        closed, lp = step(state, close)
+    for score, bits, pbits, key in entries:
+        closed, lp = step(key >> 1, close)
         score += lp
         _, lp = step(closed, turn_close)
         finals.append((-(score + lp), bits.bit_count(), bits, pbits))

@@ -372,6 +372,52 @@ def test_float_tie_merges_on_window():
     assert result.log_prob == g.sequence_log_probability(symbols)
 
 
+@pytest.mark.parametrize("seed, scheme, stream, spans, log_prob", [
+    (143, HIERARCHICAL, "LLLLL", ((0, 3), (3, 5)), "-0x1.337f247f5ecbcp+4"),
+    (120, HIERARCHY_PROMINENCE, "LLLH", ((0, 2), (2, 4)), "-0x1.152935267f4e3p+4"),
+])
+def test_rounded_ties_follow_the_oracle(seed, scheme, stream, spans, log_prob):
+    # One split scores strictly below another until the same symbols are
+    # added to both, and then the two round to the same float; the oracle
+    # key prefers the split whose prefix scored lower.  A decoder that
+    # keeps only the best prefix per merge key returns the other split.
+    g = train(
+        encode_corpus(random_corpus(random.Random(seed), 6), scheme), scheme, TrainConfig(2, 1, 0.05)
+    )
+    tones = [Tone(c) for c in stream]
+    result = segment_turn(g, tones, scheme)
+    assert result == brute_force_segment(g, tones, scheme)
+    assert [(s.start, s.end) for s in result.spans] == list(spans)
+    assert not any(s.prominent for s in result.spans)
+    assert result.log_prob.hex() == log_prob
+
+
+def test_near_ties_stay_few_on_degenerate_streams():
+    # Over two tones, many splits of a long turn score within rounding of
+    # each other.  The decoder expands only those that no other candidate
+    # of their merge key beats in both score and oracle key, so such a
+    # turn costs per tone about what a turn over all tones does; keeping
+    # every near tie instead grows the candidates with the turn.
+    rng = random.Random(53)
+    g = train(
+        encode_corpus(random_corpus(rng, 40), HIERARCHY_PROMINENCE),
+        HIERARCHY_PROMINENCE,
+        TrainConfig(4, 1, 0.01),
+    )
+    streams = {
+        "two tones": [rng.choice((L, H)) for _ in range(1000)],
+        "all tones": [rng.choice(TONES) for _ in range(1000)],
+    }
+    best = dict.fromkeys(streams, float("inf"))
+    for _ in range(5):
+        for name, stream in streams.items():
+            start = time.perf_counter()
+            result = segment_turn(g, stream, HIERARCHY_PROMINENCE)
+            best[name] = min(best[name], time.perf_counter() - start)
+            check_result_shape(result, g, stream, HIERARCHY_PROMINENCE)
+    assert best["two tones"] <= 4.0 * best["all tones"], best
+
+
 def _hier_row(counts):
     return " ".join(str(counts.get(str(s), 0)) for s in HIERARCHICAL.alphabet)
 
