@@ -12,7 +12,8 @@ Model files open with ``tonoseg-model v1``, then the scheme id, the
 training configuration, and one line per retained context: its
 symbols (``.`` for the root) followed by the successor counts in
 alphabet order.  Segmentation files carry one turn per line as
-``start-end`` spans, ``*``-suffixed when prominent.
+``start-end`` spans, ``*``-suffixed when prominent; one loop per line
+reads them and finds the first error, with no second parser.
 """
 
 from __future__ import annotations
@@ -361,55 +362,40 @@ def parse_segmentation(text: str) -> list[SegmentationResult]:
     """Inverse of ``serialize_segmentation``; scores are not stored in the
     file, so results carry NaN log-probabilities.
 
-    A line is read by a fast path (``_read_segmentation_line``) that splits
-    it at whitespace and reads each distinct span token once per call;
-    spans are immutable, so results share them.  A line the fast path does
-    not accept is parsed again by ``_parse_segmentation_line``, which
-    reports the error."""
+    A line is split at whitespace once and read in one loop, which
+    parses each distinct span token once per call (spans are immutable,
+    so results share them) and tracks the tiling as it goes.  The first
+    bad token on a line is reported at its column; a line whose tokens
+    all parse but whose spans do not tile is reported at column 1."""
     results = []
     spans_of: dict[str, WordSpan] = {}  # a span token -> its span
     for line_no, line in _content_lines(text):
-        result = _read_segmentation_line(line, spans_of)
-        results.append(result if result is not None else _parse_segmentation_line(line, line_no))
+        spans = []
+        pos = 0  # the end of the spans so far, or -1 once they fail to tile
+        for token in line.split():
+            span = spans_of.get(token)
+            if span is None:
+                sm = _SPAN.match(token)
+                if sm is None:
+                    raise _bad_span(token, line, line_no)
+                try:
+                    span = spans_of[token] = WordSpan(int(sm[1]), int(sm[2]), sm[3] == "*")
+                except ValueError:  # a bound past int's digit limit
+                    raise _bad_span(token, line, line_no) from None
+            start, end, _ = span
+            pos = end if start == pos < end else -1  # no span starts at -1
+            spans.append(span)
+        if pos < 0:
+            try:  # the constructor's tiling check raises
+                SegmentationResult(spans, math.nan)
+            except TonosegError as err:
+                raise SegmentationFormatError(str(err), line_no, 1) from None
+        results.append(SegmentationResult._of(tuple(spans), math.nan))
     return results
 
 
-def _read_segmentation_line(line: str, spans_of: dict) -> SegmentationResult | None:
-    """The result of a well-formed line whose spans tile the stream, or
-    None; ``spans_of`` maps each span token read so far to its span."""
-    spans = []
-    pos = 0
-    for token in line.split():
-        span = spans_of.get(token)
-        if span is None:
-            sm = _SPAN.match(token)
-            if not sm:
-                return None
-            try:
-                span = spans_of[token] = WordSpan(int(sm[1]), int(sm[2]), sm[3] == "*")
-            except ValueError:  # a bound past int's digit limit
-                return None
-        start, end, _ = span
-        if start != pos or end <= start:
-            return None
-        pos = end
-        spans.append(span)
-    return SegmentationResult._of(tuple(spans), math.nan)
-
-
-def _parse_segmentation_line(line: str, line_no: int) -> SegmentationResult:
-    spans = []
-    for m in _TOKEN.finditer(line):
-        token, col = m.group(), m.start() + 1
-        sm = _SPAN.match(token)
-        if not sm:
-            raise SegmentationFormatError(f"bad span token {token!r}", line_no, col)
-        try:
-            start, end = int(sm.group(1)), int(sm.group(2))
-        except ValueError:  # a bound past int's digit limit
-            raise SegmentationFormatError(f"bad span token {token!r}", line_no, col) from None
-        spans.append(WordSpan(start, end, sm.group(3) == "*"))
-    try:
-        return SegmentationResult(tuple(spans), math.nan)
-    except TonosegError as err:
-        raise SegmentationFormatError(str(err), line_no, 1) from None
+def _bad_span(token: str, line: str, line_no: int) -> SegmentationFormatError:
+    """The error for ``token`` on ``line``, at the column of its first
+    occurrence: equal tokens parse alike, so no earlier one failed."""
+    column = next(m.start() for m in _TOKEN.finditer(line) if m[0] == token) + 1
+    return SegmentationFormatError(f"bad span token {token!r}", line_no, column)

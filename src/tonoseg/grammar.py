@@ -13,8 +13,8 @@ symbols, dropping the oldest symbol is ``key % base**(L - 1)``,
 dropping the newest is ``key // base`` and appending the symbol of
 index ``a`` is ``key * base + a + 1``.  The chain-rule scorers roll
 the key of the last ``max_depth`` symbols along a sequence; the
-decoders step through the automaton of ``PatternGrammar.step``, whose
-states are context keys too.
+Viterbi decoder steps through the automaton of ``PatternGrammar.step``,
+whose states are context keys too.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Container, Iterable, Iterator, Sequence
 from .core import AlphabetError, EncodingScheme, InvalidArgumentError, TonosegError, context_text
 
 MAX_DEPTH = 64  # a grammar's ``_powers`` cost time and memory quadratic in its depth
+ENTROPY_TOLERANCE = 1e-9  # rounding slack of ``normalized_entropy``'s range check
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,13 @@ class PatternGrammar:
 
     The counts are immutable once trained or loaded: a loaded grammar
     shares one node among the contexts of equal rows, so nothing may
-    write a node's ``counts`` or ``total``.  The decoders score through
-    the grammar's context automaton (see ``step``), whose entries the
-    grammar fills lazily, one (state, symbol) entry on first use, and
-    keeps across calls, beside the Viterbi decoder's rows of entries
-    (``_rows``, see ``segment.segment_turn``).  ``log_prob``,
-    ``conditional`` and the entropy functions never touch them.
+    write a node's ``counts`` or ``total``.  The Viterbi decoder scores
+    through the grammar's context automaton (see ``step``), whose entries
+    the grammar fills lazily, one (state, symbol) entry on first use, and
+    keeps across calls, beside the decoder's rows of entries (``_rows``,
+    see ``segment.segment_turn``).  ``log_prob``, ``conditional``, the
+    chain rule (and so the brute-force oracle) and the entropy functions
+    never touch them.
 
     Queries are safe from any number of threads without a lock.  An
     automaton entry or a row is a pure function of the counts and its
@@ -508,11 +510,11 @@ def model_entropy(
     return h, h / math.log(n_categories)
 
 
-def normalized_entropy(h: float, n_categories: int, tolerance: float = 1e-9) -> float:
-    """Map an entropy in [0, ln N] onto [0, 1]."""
+def normalized_entropy(h: float, n_categories: int) -> float:
+    """Map an entropy in [0, ln N], give or take ``ENTROPY_TOLERANCE``, onto [0, 1]."""
     if n_categories < 2:
         raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
     hmax = math.log(n_categories)
-    if not -tolerance <= h <= hmax + tolerance:  # NaN fails too
+    if not -ENTROPY_TOLERANCE <= h <= hmax + ENTROPY_TOLERANCE:  # NaN fails too
         raise InvalidArgumentError(f"entropy {h} outside [0, {hmax:.6f}] for {n_categories} categories")
     return min(max(h, 0.0), hmax) / hmax

@@ -5,9 +5,11 @@ words (and, under a prominence-marking scheme, every prominence
 assignment) yields one encoded symbol sequence; the decoder returns a
 placement maximizing the chain-rule score.  ``brute_force_segment``
 enumerates the candidates outright and is the oracle the decoder is
-tested against.  The oracle scores each symbol through the grammar's
-context automaton (``PatternGrammar.step``); the decoder reads rows of
-the same automaton's entries.
+tested against.  The oracle scores each candidate by the chain rule
+(``PatternGrammar.sequence_log_probability``); the decoder reads rows of
+the grammar's context automaton (``PatternGrammar.step``).  Both add
+``PatternGrammar._log_prob`` at the same contexts in the same order, so
+both give a candidate the same float.
 
 ``segment_turn`` is a Viterbi pass.  After each tone it keeps the best
 candidate per merge key ``state * 2 + m``: ``state`` is the automaton
@@ -208,7 +210,7 @@ def _spans_from_vectors(bounds: Sequence, proms: Sequence) -> tuple[WordSpan, ..
 def brute_force_segment(
     grammar: PatternGrammar, tones: Sequence[Tone], scheme: EncodingScheme
 ) -> SegmentationResult:
-    """Score every candidate exhaustively and return the best one.
+    """Score every candidate exhaustively by the chain rule and return the best one.
 
     Exponential in the stream length (and word count under prominence
     schemes); refuses streams longer than 14 tones.
@@ -223,11 +225,7 @@ def brute_force_segment(
     best = None
     for bounds, proms in enumerate_candidates(n, scheme):
         spans = _spans_from_vectors(bounds, proms)
-        total = 0.0
-        state = 0
-        for sym in spans_to_symbols(tones, spans, scheme):
-            state, lp = grammar.step(state, scheme.index(sym))
-            total += lp
+        total = grammar.sequence_log_probability(spans_to_symbols(tones, spans, scheme))
         key = (-total, len(spans), bounds, proms)
         if best_key is None or key < best_key:
             best_key = key

@@ -18,13 +18,17 @@ from tonoseg.core import (
 )
 from tonoseg.evaluate import ConfusionMatrix, EvaluationError
 from tonoseg.formats import (
+    _SPAN,
+    _TOKEN,
     MODEL_HEADER,
     CorruptModelError,
     SchemeMismatchError,
+    SegmentationFormatError,
     VersionError,
     _content_lines,
 )
 from tonoseg.grammar import PatternGrammar, TrainConfig, _Node
+from tonoseg.segment import SegmentationResult, WordSpan
 from tonoseg.synth import PlantedGrammar
 
 TONES = list(Tone)
@@ -186,6 +190,30 @@ def load_model_per_line(text: str, expected_scheme: str | None = None) -> Patter
     if not nodes:
         raise CorruptModelError("document has no root node")
     return grammar
+
+
+def parse_segmentation_per_token(text: str) -> list[SegmentationResult]:
+    """Reference for ``formats.parse_segmentation``: each token of a line
+    is found with its column and parsed, then ``SegmentationResult``
+    checks that the line's spans tile the stream."""
+    results = []
+    for line_no, line in _content_lines(text):
+        spans = []
+        for m in _TOKEN.finditer(line):
+            token, col = m.group(), m.start() + 1
+            sm = _SPAN.match(token)
+            if not sm:
+                raise SegmentationFormatError(f"bad span token {token!r}", line_no, col)
+            try:
+                start, end = int(sm.group(1)), int(sm.group(2))
+            except ValueError:  # a bound past int's digit limit
+                raise SegmentationFormatError(f"bad span token {token!r}", line_no, col) from None
+            spans.append(WordSpan(start, end, sm.group(3) == "*"))
+        try:
+            results.append(SegmentationResult(tuple(spans), math.nan))
+        except TonosegError as err:
+            raise SegmentationFormatError(str(err), line_no, 1) from None
+    return results
 
 
 def confusion_per_slot(reference: Corpus, predicted) -> ConfusionMatrix:

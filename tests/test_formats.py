@@ -528,9 +528,20 @@ def test_segmentation_round_trip():
 
 
 def test_segmentation_bad_token():
-    with pytest.raises(SegmentationFormatError) as exc:
-        parse_segmentation("0-2 oops\n")
-    assert exc.value.column == 5
+    # The first bad token on the line is reported, even after a tiling
+    # break, at its column counted in characters.
+    huge = "9" * 5000  # past int's default digit limit of 4300
+    for line, token, column in [
+        ("0-2 oops", "oops", 5),
+        ("0-1 x 1-2 x", "x", 5),
+        ("0-2 3-4 oops", "oops", 9),
+        ("0-1\u30001-x", "1-x", 5),
+        (f"0-1 1-{huge}", f"1-{huge}", 5),
+    ]:
+        with pytest.raises(SegmentationFormatError) as exc:
+            parse_segmentation(f"0-1\n{line}\n")
+        assert str(exc.value) == f"line 2, column {column}: bad span token {token!r}"
+        assert (exc.value.line, exc.value.column) == (2, column)
 
 
 def test_segmentation_bad_tiling():

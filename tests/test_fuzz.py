@@ -9,7 +9,8 @@ with the per-line reference loader on every mutated model, including
 rows with odd whitespace, comment and blank lines between rows, and rows
 moved past their own subtree's rows.  The corpus
 parser's fast path for turn lines agrees with the token-by-token parser
-that reports errors, and so does the segmentation reader's fast path.
+that reports errors, and the segmentation reader agrees with a
+token-by-token reference parser.
 Random corpora and segmentations survive a write and a read.
 ``decode_turn`` accepts exactly what ``encode_turn`` produces.
 The saved models are the pinned ones of ``fixtures/model_golden.json``
@@ -40,9 +41,7 @@ from tonoseg.core import (
     get_scheme,
 )
 from tonoseg.formats import (
-    _parse_segmentation_line,
     _parse_turn_line,
-    _read_segmentation_line,
     _read_turn_line,
     load_model,
     parse_corpus,
@@ -54,7 +53,7 @@ from tonoseg.formats import (
 from tonoseg.grammar import model_entropy
 from tonoseg.segment import SegmentationResult, WordSpan, segment_turn
 from tonoseg.synth import PlantedGrammar
-from helpers import TONES, load_model_per_line
+from helpers import TONES, load_model_per_line, parse_segmentation_per_token
 
 FUZZ = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 FUZZ_FAST = settings(FUZZ, max_examples=200)
@@ -324,9 +323,9 @@ def test_parse_segmentation_raises_only_tonoseg_errors(text):
     assert [r.spans for r in again] == [r.spans for r in results]
 
 
-# Segmentation lines the fast path must hand on: spans that do not tile
-# ("3-3", "2-1", a gap, an overlap), Unicode digits, and a bound past
-# int's digit limit; the tokens sit between whitespace that is not a space.
+# Segmentation lines with spans that do not tile ("3-3", "2-1", a gap, an
+# overlap), Unicode digits, and a bound past int's digit limit; the tokens
+# sit between whitespace that is not a space.
 SEGMENTATION_DOCUMENTS = [
     "0-2 2-3*\n0-1\n# c\n0-1* 1-4\n",
     "0-1 1-1 1-3\n3-3\n0-3 3-3*\n2-1\n0-2 1-3\n0-1 2-3\n1-2",
@@ -336,34 +335,37 @@ SEGMENTATION_DOCUMENTS = [
 SEGMENTATION_CHARACTERS = "0123456789-*#x\u0663\u0968\uff11 \n" + SPACES + LINE_BREAKS
 
 
+def segmentation_outcome(parse, text):
+    """The spans with NaN scores that ``parse`` reads, or the error it raises."""
+    try:
+        return [(r.spans, math.isnan(r.log_prob)) for r in parse(text)]
+    except TonosegError as err:
+        return type(err), str(err), err.line, err.column
+
+
 @FUZZ
 @given(mutated_text(SEGMENTATION_DOCUMENTS, SEGMENTATION_CHARACTERS))
 def test_fast_segmentation_reader_agrees_with_parser(text):
-    # Lines as parse_segmentation sees them; one span memo, as in one call.
-    spans_of = {}
-    for line in text.splitlines():
-        fast = _read_segmentation_line(line, spans_of)
-        try:
-            slow = _parse_segmentation_line(line, 1)
-        except TonosegError:
-            assert fast is None
-        else:
-            assert fast is None or (fast.spans == slow.spans and math.isnan(fast.log_prob))
+    # The lines the per-token reference accepts, read in one call (one span
+    # memo), so that the lines after a document's first error are compared too.
+    accepted = "\n".join(
+        line
+        for line in text.splitlines()
+        if isinstance(segmentation_outcome(parse_segmentation_per_token, line), list)
+    )
+    assert segmentation_outcome(parse_segmentation, accepted) == segmentation_outcome(
+        parse_segmentation_per_token, accepted
+    )
 
 
 @FUZZ
 @given(mutated_text(SEGMENTATION_DOCUMENTS, SEGMENTATION_CHARACTERS))
 def test_parse_segmentation_fast_path_keeps_errors(text):
-    # With the fast path off, every line goes through _parse_segmentation_line.
-    def parse():
-        try:
-            return [(r.spans, math.isnan(r.log_prob)) for r in parse_segmentation(text)]
-        except TonosegError as err:
-            return type(err), str(err), err.line, err.column
-
-    with mock.patch.object(formats, "_read_segmentation_line", lambda line, spans_of: None):
-        expected = parse()
-    assert parse() == expected
+    # The one-loop reader raises what the per-token reference raises: the
+    # same type, message, line and column, or the same spans.
+    assert segmentation_outcome(parse_segmentation, text) == segmentation_outcome(
+        parse_segmentation_per_token, text
+    )
 
 
 SPEC = (Path(__file__).parent.parent / "demos" / "planted_example.json").read_text()

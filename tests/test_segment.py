@@ -26,7 +26,7 @@ from tonoseg.core import (
     get_scheme,
 )
 from tonoseg.formats import load_model, parse_corpus, save_model
-from tonoseg.grammar import TrainConfig, train
+from tonoseg.grammar import PatternGrammar, TrainConfig, train
 from tonoseg.segment import (
     SegmentCorpusError,
     SegmentationError,
@@ -162,6 +162,23 @@ def test_oracle_equivalence_randomized():
         want = brute_force_segment(g, stream, scheme)
         assert abs(got.log_prob - want.log_prob) <= 1e-9
         assert got.spans == want.spans
+
+
+@pytest.mark.parametrize("scheme", [HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES])
+def test_oracle_does_not_use_the_automaton(scheme, monkeypatch):
+    # The oracle scores by the chain rule alone, so it shares only
+    # ``_log_prob`` with the decoder, not the automaton the decoder reads.
+    rng = random.Random(39)
+    streams = [[rng.choice(TONES) for _ in range(rng.randint(1, 6))] for _ in range(6)]
+    want = [brute_force_segment(trained(scheme, random.Random(40)), s, scheme) for s in streams]
+
+    def step(self, state, a):
+        raise AssertionError("the oracle stepped through the automaton")
+
+    monkeypatch.setattr(PatternGrammar, "step", step)
+    fresh = trained(scheme, random.Random(40))
+    assert [brute_force_segment(fresh, s, scheme) for s in streams] == want
+    assert fresh._entries == {} and fresh._rows == {}
 
 
 def test_partition_property():
@@ -349,11 +366,12 @@ def test_decoder_golden():
     assert checked == 300
 
 
-def test_float_tie_merges_on_window():
+def test_float_tie_follows_the_oracle():
     # Two prefixes whose scores differ become equal after the same
-    # continuation is added in floating point; the decoder must keep the
-    # candidate a (window, prominence) merge keeps.  Merging on the
-    # automaton state alone returns (0,3) (3,7) ... with an equal score.
+    # continuation is added in floating point; the decoder must return
+    # the split the oracle's tie key prefers (here the smaller boundary
+    # vector).  Merging on the automaton state without the rounding
+    # margin returns (0,3) (3,7) ... with an equal score.
     rng = random.Random(52)
     g = train(
         encode_corpus(random_corpus(rng, 12), HIERARCHY_PROMINENCE),
