@@ -276,6 +276,15 @@ class Turn:
         if not self.words:
             raise EmptyTurnError("turn must contain at least one word")
 
+    @classmethod
+    def _of(cls, words: tuple) -> "Turn":
+        """A turn of a non-empty tuple of ``ProsodicWord``s, as
+        ``parse_corpus`` and ``sample_corpus`` build them: stored as
+        given, without the checks."""
+        turn = object.__new__(cls)
+        object.__setattr__(turn, "words", words)
+        return turn
+
     @property
     def tone_count(self) -> int:
         return sum(len(w.tones) for w in self.words)
@@ -344,17 +353,20 @@ def encode_turn(turn: Turn, scheme: EncodingScheme) -> list:
 
 def encode_corpus(corpus: Corpus, scheme: EncodingScheme) -> list:
     """One encoded sequence per turn, order preserved, equal to
-    ``encode_turn`` of each turn.  Each distinct word is encoded once per
-    call, by ``encode_words``, and its symbols are copied into every turn
-    that holds it."""
-    pieces: dict = {}  # word -> its symbols between the turn markers
+    ``encode_turn`` of each turn.  The memo goes by object identity: each
+    word object is encoded once per call, by ``encode_words``, and its
+    symbols are copied into every turn that holds it (``parse_corpus``
+    and ``sample_corpus`` share word objects between turns)."""
+    # A word's id -> its symbols between the turn markers.  The corpus
+    # keeps every word alive for the whole call, so an id is never reused.
+    pieces: dict[int, list] = {}
     out = []
     for turn in corpus.turns:
         seq = [Marker.TURN_OPEN]
         for word in turn.words:
-            piece = pieces.get(word)
+            piece = pieces.get(id(word))
             if piece is None:
-                piece = pieces[word] = encode_words((word,), scheme)[1:-1]
+                piece = pieces[id(word)] = encode_words((word,), scheme)[1:-1]
             seq += piece
         seq.append(Marker.TURN_CLOSE)
         out.append(seq)

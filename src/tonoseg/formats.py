@@ -90,14 +90,16 @@ def parse_corpus(text: str) -> Corpus:
     """Parse a corpus document; the first error is reported with its
     1-based line and column.
 
-    A turn line is read by a fast path (``_read_turn_line``) that splits
-    it at whitespace and builds each distinct word once per call; words
-    are frozen, so turns share them.  A line the fast path does not
-    accept is parsed again by ``_parse_turn_line``, which reports the
-    error."""
-    lines = _content_lines(text)
+    A line after the header goes first to a fast path
+    (``_read_turn_line``), which splits it at ``)`` once and builds each
+    distinct piece's word once per call; words are frozen, so turns
+    share them.  Only a line the fast path rejects is tested for a
+    blank, a comment or ``@`` metadata (a line it accepts starts with
+    ``(`` or ``*(``), and a turn line it rejects is parsed again by
+    ``_parse_turn_line``, which reports the error."""
+    numbered = enumerate(text.splitlines(), start=1)
     try:
-        line_no, header = next(lines)
+        line_no, header = next(_drop_comments(numbered))
     except StopIteration:
         raise VersionError(f"missing header {CORPUS_HEADER!r}", 1, 1) from None
     if header.strip() != CORPUS_HEADER:
@@ -105,41 +107,51 @@ def parse_corpus(text: str) -> Corpus:
 
     turns = []
     metadata: dict = {}
-    words: dict[tuple, ProsodicWord] = {}  # a word's tokens -> the word
-    for line_no, line in lines:
-        if line.lstrip().startswith("@"):
-            body = line.strip()[1:]
+    words: dict[str, ProsodicWord] = {}  # a word's piece of a line -> the word
+    for line_no, line in numbered:
+        turn = _read_turn_line(line, words)
+        if turn is not None:
+            turns.append(turn)
+            continue
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped.startswith("@"):
+            body = stripped[1:]
             if not body[:1].strip():
                 raise CorpusFormatError("metadata line has no key", line_no, 1)
             key, *value = body.split(maxsplit=1)  # at any whitespace, as the tokenizer
             metadata[key] = value[0] if value else ""
             continue
-        turn = _read_turn_line(line, words)
-        turns.append(turn if turn is not None else _parse_turn_line(line, line_no))
+        turns.append(_parse_turn_line(line, line_no))
     return Corpus(tuple(turns), metadata)
 
 
 def _read_turn_line(line: str, words: dict) -> Turn | None:
-    """The turn of a well-formed line, or None; ``words`` maps the tokens
-    of each word read so far (opener and letters) to the word."""
-    tokens = line.split()
+    """The turn of a well-formed line, or None.
+
+    ``" " + line`` is split at ``)``.  Every piece but the last must be
+    a word: whitespace at both ends, so each ``)`` is a token of its
+    own, and an opener and at least one tone letter as its tokens.  The
+    last piece must be blank.  ``words`` maps each word's piece read so
+    far to the word; the leading space makes a line's first piece look
+    like the others."""
+    *pieces, rest = (" " + line).split(")")
+    if not pieces or rest and not rest.isspace():
+        return None
     turn = []
-    start = 0
-    while start < len(tokens):
-        try:
-            end = tokens.index(")", start)
-        except ValueError:
-            return None
-        key = tuple(tokens[start:end])
-        word = words.get(key)
+    for piece in pieces:
+        word = words.get(piece)
         if word is None:
-            tones = tuple(map(_TONE_OF.get, key[1:]))
-            if not tones or None in tones or key[0] not in ("(", "*("):
+            if not (piece[:1].isspace() and piece[-1:].isspace()):
                 return None
-            word = words[key] = ProsodicWord(tones, key[0] == "*(")
+            tokens = piece.split()
+            tones = tuple(map(_TONE_OF.get, tokens[1:]))
+            if not tones or None in tones or tokens[0] not in ("(", "*("):
+                return None
+            word = words[piece] = ProsodicWord(tones, tokens[0] == "*(")
         turn.append(word)
-        start = end + 1
-    return Turn(tuple(turn)) if turn else None
+    return Turn._of(tuple(turn))
 
 
 def _parse_turn_line(line: str, line_no: int) -> Turn:

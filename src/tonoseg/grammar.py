@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -439,12 +441,8 @@ def marginal_entropy(sequences: Iterable[Sequence], n_categories: int) -> tuple[
     """
     if n_categories < 2:
         raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
-    counts: dict = {}
-    total = 0
-    for seq in sequences:
-        for sym in seq:
-            counts[sym] = counts.get(sym, 0) + 1
-            total += 1
+    counts = Counter(chain.from_iterable(sequences))  # keys in first-seen order
+    total = sum(counts.values())
     if total == 0:
         raise InvalidArgumentError("cannot measure entropy of an empty symbol stream")
     h = 0.0

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (
     HIERARCHICAL,
@@ -152,14 +154,13 @@ class PlantedGrammar:
         return json.dumps(self.to_mapping(), indent=2, sort_keys=True) + "\n"
 
 
-def _draw(rng: random.Random, dist):
-    x = rng.random()
-    acc = 0.0
-    for value, p in dist:
-        acc += p
-        if x < acc:
-            return value
-    return dist[-1][0]
+def _table(dist) -> tuple[list[float], list]:
+    """A distribution's partial sums, added left to right, and its values
+    with the last one repeated: ``values[bisect_right(sums, x)]`` is the
+    first value whose partial sum exceeds ``x``, or the last value when
+    ``x`` is past the total (which may fall short of 1 by rounding)."""
+    values = [value for value, _ in dist]
+    return list(accumulate(p for _, p in dist)), values + values[-1:]
 
 
 def sample_corpus(planted: PlantedGrammar, n_words: int, seed: int | None = None) -> Corpus:
@@ -167,33 +168,41 @@ def sample_corpus(planted: PlantedGrammar, n_words: int, seed: int | None = None
 
     Turn lengths are drawn first (the last turn is truncated to fit);
     then per word: prominence, length, tones in order.  The draw order
-    is part of the format: same seed, same corpus, bit for bit.
+    is part of the format: same seed, same corpus, bit for bit.  Each
+    draw takes one ``random()`` and finds it among the distribution's
+    partial sums (``_table``) by bisection.  Equal words drawn are one
+    object.
     """
     if n_words < 1:
         raise InvalidArgumentError(f"n_words must be >= 1, got {n_words}")
-    rng = random.Random(planted.seed if seed is None else seed)
+    rand = random.Random(planted.seed if seed is None else seed).random
+    turn_sums, turn_values = _table(planted.turn_lengths)
     turn_sizes = []
     remaining = n_words
     while remaining > 0:
-        size = min(_draw(rng, planted.turn_lengths), remaining)
+        size = min(turn_values[bisect_right(turn_sums, rand())], remaining)
         turn_sizes.append(size)
         remaining -= size
+    length_sums, length_values = _table(planted.word_lengths)
+    interior_sums, interior_values = _table(planted.interior_tones)
+    final_sums, final_values = _table(planted.final_tones)
+    prominence = planted.prominence
     turns = []
     shared: dict[tuple, ProsodicWord] = {}  # one object per distinct word drawn
     for size in turn_sizes:
         words = []
         for _ in range(size):
-            prominent = rng.random() < planted.prominence
-            length = _draw(rng, planted.word_lengths)
-            tones = tuple(
-                _draw(rng, planted.final_tones if i == length - 1 else planted.interior_tones)
-                for i in range(length)
+            prominent = rand() < prominence
+            length = length_values[bisect_right(length_sums, rand())]
+            tones = (
+                *[interior_values[bisect_right(interior_sums, rand())] for _ in range(length - 1)],
+                final_values[bisect_right(final_sums, rand())],
             )
             word = shared.get((tones, prominent))
             if word is None:
                 word = shared[tones, prominent] = ProsodicWord(tones, prominent)
             words.append(word)
-        turns.append(Turn(tuple(words)))
+        turns.append(Turn._of(tuple(words)))
     return Corpus(tuple(turns), {"generator": "planted", "words": str(n_words)})
 
 

@@ -81,6 +81,44 @@ def random_planted(rng: random.Random, prominence: float | None = None) -> Plant
     )
 
 
+def draw_by_scan(rng: random.Random, dist):
+    """Reference for one draw of ``synth.sample_corpus``: the first value
+    whose partial sum, added left to right, exceeds ``random()``, or the
+    last value when the draw is past the total."""
+    x = rng.random()
+    acc = 0.0
+    for value, p in dist:
+        acc += p
+        if x < acc:
+            return value
+    return dist[-1][0]
+
+
+def sample_corpus_by_scan(planted: PlantedGrammar, n_words: int, seed: int | None = None) -> Corpus:
+    """Reference for ``synth.sample_corpus``: the same draws in the same
+    order, each one by ``draw_by_scan``."""
+    rng = random.Random(planted.seed if seed is None else seed)
+    turn_sizes = []
+    remaining = n_words
+    while remaining > 0:
+        size = min(draw_by_scan(rng, planted.turn_lengths), remaining)
+        turn_sizes.append(size)
+        remaining -= size
+    turns = []
+    for size in turn_sizes:
+        words = []
+        for _ in range(size):
+            prominent = rng.random() < planted.prominence
+            length = draw_by_scan(rng, planted.word_lengths)
+            tones = tuple(
+                draw_by_scan(rng, planted.final_tones if i == length - 1 else planted.interior_tones)
+                for i in range(length)
+            )
+            words.append(ProsodicWord(tones, prominent))
+        turns.append(Turn(tuple(words)))
+    return Corpus(tuple(turns), {"generator": "planted", "words": str(n_words)})
+
+
 def train_per_length(sequences, scheme, config: TrainConfig) -> PatternGrammar:
     """Reference tally for ``grammar.train``: each successor is counted under
     every suffix of its window, one context length at a time, then contexts

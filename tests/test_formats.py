@@ -88,6 +88,32 @@ def test_nesting_errors():
             parse_corpus(HEADER + body + "\n")
 
 
+@pytest.mark.parametrize(
+    "line, error, message, column",
+    [
+        ("( T ))", UnknownToneError, "unknown tone letter '))'", 5),
+        ("( T )x", UnknownToneError, "unknown tone letter ')x'", 5),
+        ("( T ) x", NestingError, "token 'x' outside a word", 7),
+        (")( L )", NestingError, "token ')(' outside a word", 1),
+        ("( T L)( H )", UnknownToneError, "unknown tone letter 'L)('", 5),
+        ("( T ) )", NestingError, "')' without matching open", 7),
+    ],
+)
+def test_turn_line_split_edges(line, error, message, column):
+    # Lines that the fast reader's split at ")" rejects; the parser
+    # reports them as it always has.
+    with pytest.raises(error) as exc:
+        parse_corpus(HEADER + "( H )\n" + line + "\n")
+    assert type(exc.value) is error
+    assert str(exc.value) == f"line 3, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (3, column)
+
+
+def test_turn_line_split_accepts_any_whitespace():
+    c = parse_corpus(HEADER + "( T )\u3000*( L )\n\t( T ) \x0b\n")
+    assert c.turns == (turn("T", ("L", True)), turn("T"))
+
+
 def test_error_kinds_are_distinct():
     kinds = {VersionError, UnknownToneError, EmptyWordError, NestingError}
     assert len(kinds) == 4

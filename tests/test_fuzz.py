@@ -255,11 +255,14 @@ def test_parse_corpus_raises_only_tonoseg_errors(text):
 
 
 # Turn lines with tokens the fast path must hand on: ")" and "*(" glued
-# to a letter, an empty word, and whitespace that is not a space.
+# to a letter, an empty word, and whitespace that is not a space; then
+# the edges of its split at ")": an empty or blank piece, text after the
+# last ")", a ")" glued on either side, and an ideographic space.
 TURN_DOCUMENTS = [
     "( U S ) *( T D )\n*( T H L ) ( U L ) ( L )\n( T H L ) ( L )",
     "( H L) *(T L ) ( H L )\n*( H )( L )\n( ) ( L )\n*( H L ) ( )",
     "\t( T\x0bL )\x1c*(\u3000H L ) \n( U\tU )\x0b( D )",
+    "( T ))\n( T )x\n( T ) x\n)( L )\n( T L)( H )\n( T )\u3000*( L )\n( T ) )",
 ]
 TURN_CHARACTERS = "TMBHLUDh()*@# \n\t\x0b\x1c\u3000"
 
@@ -267,7 +270,8 @@ TURN_CHARACTERS = "TMBHLUDh()*@# \n\t\x0b\x1c\u3000"
 @FUZZ
 @given(mutated_text(TURN_DOCUMENTS, TURN_CHARACTERS))
 def test_fast_turn_reader_agrees_with_parser(text):
-    # Lines as parse_corpus sees them; one word memo, as in one parse_corpus call.
+    # Lines as parse_corpus sees them; one word memo, as in one parse_corpus
+    # call.  The fast path reads every line the parser reads, and no other.
     words = {}
     for line in text.splitlines():
         fast = _read_turn_line(line, words)
@@ -276,7 +280,7 @@ def test_fast_turn_reader_agrees_with_parser(text):
         except TonosegError:
             assert fast is None
         else:
-            assert fast is None or fast == slow
+            assert fast == slow
 
 
 @FUZZ

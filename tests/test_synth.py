@@ -2,10 +2,15 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tonoseg import synth
 from tonoseg.core import (
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
@@ -25,9 +30,9 @@ from tonoseg.synth import (
     prefix_probability,
     sample_corpus,
 )
-from helpers import random_planted
+from helpers import TONES, draw_by_scan, random_planted, sample_corpus_by_scan
 
-T, H, S, L = Tone.TOP, Tone.HIGHER, Tone.SAME, Tone.LOWER
+T, M, B, H, S, L = Tone.TOP, Tone.MID, Tone.BOTTOM, Tone.HIGHER, Tone.SAME, Tone.LOWER
 TO, TC, WO, WC, PO = (
     Marker.TURN_OPEN,
     Marker.TURN_CLOSE,
@@ -80,9 +85,78 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_equal_words_drawn_are_one_object():
-    # Corpora repeat few distinct words; encoding hashes each word it meets.
+    # Corpora repeat few distinct words, and encode_corpus's memo goes by
+    # object identity: with one object per distinct word, each is encoded once.
     words = [w for turn in sample_corpus(RICH, 500, seed=8).turns for w in turn.words]
     assert len({id(w) for w in words}) == len(set(words)) < 100
+
+
+@st.composite
+def distributions(draw, values):
+    """A distribution over some of ``values``, zero-probability entries
+    included, summing to 1 within rounding."""
+    chosen = draw(st.lists(st.sampled_from(values), min_size=1, max_size=len(values), unique=True))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(chosen), max_size=len(chosen)).filter(any))
+    total = sum(weights)
+    return tuple((v, w / total) for v, w in zip(chosen, weights))
+
+
+@st.composite
+def planted_grammars(draw):
+    return PlantedGrammar(
+        word_lengths=draw(distributions([1, 2, 3, 4])),
+        interior_tones=draw(distributions(TONES)),
+        final_tones=draw(distributions(TONES)),
+        turn_lengths=draw(distributions([1, 2, 3])),
+        prominence=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(planted_grammars(), st.integers(1, 200), st.integers(0, 2**32))
+def test_sample_corpus_equals_scan_reference(planted, n_words, seed):
+    assert sample_corpus(planted, n_words, seed) == sample_corpus_by_scan(planted, n_words, seed)
+
+
+def drawn_tone(final_tones, x):
+    """The tone ``sample_corpus`` draws for a one-tone word when that
+    tone's ``random()`` returns ``x``."""
+    planted = PlantedGrammar(((1, 1.0),), ((T, 1.0),), final_tones, ((1, 1.0),))
+    draws = iter([0.5, 0.5, 0.5, x])  # turn length, prominence, word length, the tone
+    scripted = SimpleNamespace(Random=lambda seed: SimpleNamespace(random=lambda: next(draws)))
+    with mock.patch.object(synth, "random", scripted):
+        (turn,) = sample_corpus(planted, 1).turns
+    return turn.words[0].tones[0]
+
+
+def scan(dist, x):
+    return draw_by_scan(SimpleNamespace(random=lambda: x), dist)
+
+
+def test_table_draw_at_partial_sums():
+    # A draw equal to a partial sum falls to the next value, as in the scan.
+    dist = ((T, 0.25), (H, 0.5), (L, 0.25))  # partial sums 0.25, 0.75, 1.0
+    for x, want in [(0.0, T), (math.nextafter(0.25, 0), T), (0.25, H), (0.75, L), (1 - 2**-53, L)]:
+        assert drawn_tone(dist, x) == scan(dist, x) == want
+
+
+def test_table_draw_past_the_total():
+    # The sums may fall short of 1 by rounding; a draw past them gets
+    # the last value, as in the scan.
+    dist = ((T, 0.5), (H, 0.5 - 5e-10))
+    total = 0.5 + (0.5 - 5e-10)
+    assert total < 1
+    for x in (math.nextafter(total, 0), total, 1 - 2**-53):
+        assert drawn_tone(dist, x) == scan(dist, x) == H
+
+
+def test_table_draw_skips_zero_probabilities():
+    dist = ((T, 0.0), (M, 0.5), (B, 0.0), (H, 0.5), (S, 0.0))  # sums 0, .5, .5, 1, 1
+    rng = random.Random(0)
+    draws = [0.0, math.nextafter(0.5, 0), 0.5, math.nextafter(0.5, 1), 1 - 2**-53]
+    draws += [rng.random() for _ in range(50)]
+    for x in draws:
+        assert drawn_tone(dist, x) == scan(dist, x) in (M, H)
 
 
 def test_exact_word_counts():
