@@ -102,17 +102,17 @@ class PatternGrammar:
     write a node's ``counts`` or ``total``.  The Viterbi decoder scores
     through the grammar's context automaton (see ``step``), whose entries
     the grammar fills lazily, one (state, symbol) entry on first use, and
-    keeps across calls, beside the decoder's rows of entries (``_rows``,
-    see ``segment.segment_turn``).  ``log_prob``, ``conditional``, the
+    keeps across calls, beside the decoder's tables of entries (``_rows``,
+    see ``segment``).  ``log_prob``, ``conditional``, the
     chain rule (and so the brute-force oracle) and the entropy functions
     never touch them.
 
     Queries are safe from any number of threads without a lock.  An
-    automaton entry or a row is a pure function of the counts and its
-    state is a context key, not a fill order, so threads that build the
-    prefix closure, an entry or a row at once build equal ones, and
-    whichever is stored gives every thread the same states and the same
-    bitwise scores.
+    automaton entry or a decoder table is a pure function of the counts
+    and its state is a context key, not a fill order, so threads that
+    build the prefix closure, an entry or a table at once build equal
+    ones, and whichever is stored gives every thread the same states and
+    the same bitwise scores.
     """
 
     def __init__(self, scheme: EncodingScheme, config: TrainConfig):
@@ -130,7 +130,7 @@ class PatternGrammar:
         # The automaton (see ``step``): its set of state keys, built on the first miss, and entries.
         self._closure: Container[int] | None = None
         self._entries: dict[int, tuple[int, float]] = {}
-        # The decoder's rows (see ``segment.segment_turn``), filled like the entries.
+        # The decoder's rows, start rows and end rows (see ``segment``), filled like the entries.
         self._rows: dict[int, tuple] = {}
         # A bound on -ln P of one symbol (see ``_surprisal_bound``), computed on first use.
         self._surprisal: float | None = None

@@ -12,12 +12,14 @@ the grammar's context automaton (``PatternGrammar.step``).  Both add
 both give a candidate the same float.
 
 ``segment_turn`` is a Viterbi pass.  After each tone it keeps the best
-candidate per merge key ``state * 2 + m``: ``state`` is the automaton
+candidate per merge key ``state * W + m``: ``state`` is the automaton
 state after the candidate's last symbol, and ``m`` is 1 only when the
 current word is prominent and the scheme writes a prominent word's tones
-as symbols of their own (``hierprom-tones``).  ``step`` is a function of
-the state and the symbol, so candidates with one key add the same ln P
-values, in the same order, to every continuation.  The keys of a tone
+as symbols of their own (``hierprom-tones``, the only scheme where
+``W`` is 2).  Under the other schemes ``W`` is 1 and ``m`` is 0, so the
+merge key is the state itself.  ``step`` is a function of the state and
+the symbol, so candidates with one key add the same ln P values, in the
+same order, to every continuation.  The keys of a tone
 are bounded by the grammar, not by the turn length: on the benchmark's
 workloads the decoder holds 2.6 to 4.4 candidates per tone.
 
@@ -41,15 +43,28 @@ what ``brute_force_segment`` returns.  Near ties are rare: on the
 benchmark's workloads no extra was kept, and on twelve random turns of
 1,000 tones over two tones at most 10 were kept after any one tone.
 
-After the first tone, a candidate expands by one row per tone: the chain
-of ``step`` calls for its automaton state and the tone, computed on first use and kept on the
-grammar (``_rows``) under ``state * size +`` the plain tone symbol's
-index.  The row is one flat tuple: for each prominence option the
-continuation's (target, ln P); then the word close's ln P; then for each
-option the new word opener's ln P, the target after the tone and the
-tone's ln P.  Like an automaton entry, a row is a pure function of the
-immutable counts, stored whole, so threads that race on it store equal
-tuples.  Its floats are the automaton's own, added in emission order.
+The decoder reads three kinds of table, each the chain of ``step``
+calls it stands for, computed on first use and kept on the grammar
+(``_rows``); ``size`` is the alphabet size and ``k`` the plain tone
+symbol's index:
+
+- a start row, under ``~k``: the candidates of a turn whose first tone
+  is ``k``, one per prominence option, ``((turn open + word open) +
+  tone, 1, p, merge key)``;
+- a row, under ``key * size + k``: how a candidate of merge key ``key``
+  expands by tone ``k``.  One flat tuple: the continuation's merge key
+  and ln P; the word close's ln P; then per prominence option the new
+  word opener's ln P, the merge key after the tone and the tone's ln P;
+- an end row, under ``key * size +`` the word close's index: the ln P of
+  the word close and of the turn close, added to a final candidate's
+  score in that order.
+
+The three key ranges never meet: start rows are negative, and a tone's
+index is never the word close's.  Like an automaton entry, a table is a
+pure function of the immutable counts, stored whole, so threads that race
+on it store equal tuples.  Its floats are the automaton's own, added in
+emission order.  Under ``W == 1`` its merge keys are the automaton
+entries' own ints, not copies.
 
 Ties are broken deterministically: higher score first, then fewer
 words, then the lexicographically smallest boundary vector, then the
@@ -60,7 +75,7 @@ boundary bits (one per tone, 1 where a word opens), prominence bits
 boundary bits, so comparing integers compares vectors.  Merging on an
 exact score tie and the final choice compare ``(-score, words, bits,
 prominence bits)``, where ``words`` is ``bits.bit_count()``.  The
-stream is checked once, before any automaton entry or row is filled.
+stream is checked once, before any automaton entry or table is filled.
 
 The result is built straight from the winner's two integers: the
 boundary bits as one binary string, from which ``str.find`` jumps from
@@ -74,8 +89,8 @@ n costs O(n / 30) machine words on top of its constant work and a turn
 costs O(n**2 / 30) in all.  The cost per tone is flat up to a few
 thousand tones (the longest turns the benchmark and the linearity test
 decode) and grows slowly beyond: under ``hierprom`` on a 2-CPU machine,
-about 4.4-4.8 µs per tone at 200 and 3200 tones, 5.3-6.1 at 12,800 and
-6.1-6.8 at 25,314 tones (in the benchmark's reference seconds, default
+about 3.5-3.8 µs per tone at 200 and 3200 tones, 4.6-4.7 at 12,800 and
+5.6-5.8 at 25,314 tones (in the benchmark's reference seconds, default
 ``TrainConfig`` on 20,000 planted-cue words).
 """
 
@@ -236,18 +251,18 @@ def brute_force_segment(
 @lru_cache(maxsize=None)
 def _layout(scheme: EncodingScheme) -> tuple:
     """``segment_turn``'s per-scheme constants, computed once per scheme:
-    the word-close index, the word-open index per prominence option, per
-    option a new word's row index and merge-key bit, the turn-open and
-    turn-close indexes, and ``_tone``'s constants of each tone whose
+    the merge-key width ``W``, the word-close, turn-open and turn-close
+    indexes, the word-open index per prominence option, per option a new
+    word's offset in a row, and ``_tone``'s constants of each tone whose
     symbols the scheme has."""
     index = scheme.index
     options = _prominence_options(scheme)
-    close = index(Marker.WORD_CLOSE)
+    width = 2 if scheme.prominence == "tones" else 1  # a prominent word's tones are symbols of their own
     opens = tuple(index(scheme.word_open_symbol(p)) for p in options)
-    marks = scheme.prominence == "tones"  # a prominent word's tones are symbols of their own
-    news = tuple((p, 2 * len(opens) + 1 + 3 * p, p if marks else 0) for p in range(len(options)))
+    news = tuple((p, 3 + 3 * p) for p in range(len(options)))
     tones = {t: _tone(scheme, t) for t in Tone if all(scheme.tone_symbol(t, p) in scheme for p in options)}
-    return close, opens, news, index(Marker.TURN_OPEN), index(Marker.TURN_CLOSE), tones
+    symbols = width, index(Marker.WORD_CLOSE), index(Marker.TURN_OPEN), index(Marker.TURN_CLOSE), opens
+    return symbols, news, tones
 
 
 def _tone(scheme: EncodingScheme, tone: Tone) -> tuple:
@@ -258,21 +273,51 @@ def _tone(scheme: EncodingScheme, tone: Tone) -> tuple:
     return syms[0], syms
 
 
-def _row(grammar: PatternGrammar, state: int, syms: tuple, close: int, opens: tuple) -> tuple:
-    """Compute and store the row of ``state`` and a tone whose symbol index
-    per prominence option is ``syms`` (see ``segment_turn``)."""
+def _merge_key(width: int, state: int, m: int) -> int:
+    """The merge key of an automaton state and the current word's ``m``;
+    with ``W == 1`` the state's own int."""
+    return state * 2 + m if width == 2 else state
+
+
+def _row(grammar: PatternGrammar, key: int, syms: tuple, symbols: tuple) -> tuple:
+    """Compute and store the row of merge key ``key`` and a tone whose
+    symbol index per prominence option is ``syms`` (see ``segment_turn``)."""
+    width, close, _, _, opens = symbols
     step = grammar.step
-    row = []
-    for a in syms:
-        row += step(state, a)
-    closed, lp = step(state, close)
-    row.append(lp)
-    for a, word_open in zip(syms, opens):
-        opened, lp = step(closed, word_open)
-        row.append(lp)
-        row += step(opened, a)
-    row = grammar._rows[state * grammar._size + syms[0]] = tuple(row)
+    state, m = divmod(key, width)
+    target, lp = step(state, syms[m])
+    closed, close_lp = step(state, close)
+    row = [_merge_key(width, target, m), lp, close_lp]
+    for p, (a, word_open) in enumerate(zip(syms, opens)):
+        opened, open_lp = step(closed, word_open)
+        target, lp = step(opened, a)
+        row += open_lp, _merge_key(width, target, p), lp
+    row = grammar._rows[key * grammar._size + syms[0]] = tuple(row)
     return row
+
+
+def _start(grammar: PatternGrammar, syms: tuple, symbols: tuple) -> tuple:
+    """Compute and store the first tone's candidates, one per prominence
+    option, for a tone whose symbol index per option is ``syms``."""
+    width, _, turn_open, _, opens = symbols
+    step = grammar.step
+    state, lp = step(0, turn_open)
+    start = []
+    for p, (a, word_open) in enumerate(zip(syms, opens)):
+        opened, lp1 = step(state, word_open)
+        target, lp2 = step(opened, a)
+        start.append((lp + lp1 + lp2, 1, p, _merge_key(width, target, p)))
+    start = grammar._rows[~syms[0]] = tuple(start)
+    return start
+
+
+def _end(grammar: PatternGrammar, key: int, symbols: tuple) -> tuple:
+    """Compute and store the end row of merge key ``key``: the ln P of the
+    word close and of the turn close after it."""
+    width, close, _, turn_close, _ = symbols
+    closed, close_lp = grammar.step(key // width, close)
+    end = grammar._rows[key * grammar._size + close] = (close_lp, grammar.step(closed, turn_close)[1])
+    return end
 
 
 def _plan(scheme: EncodingScheme, tones: Sequence, known: dict) -> list:
@@ -331,44 +376,38 @@ def segment_turn(
     without the tiling check of ``SegmentationResult(...)``.
     """
     _check_inputs(grammar, tones, scheme)
-    close, opens, news, turn_open, turn_close, known = _layout(scheme)
+    symbols, news, known = _layout(scheme)
     plan = _plan(scheme, tones, known)
-    step, rows, size = grammar.step, grammar._rows, grammar._size
-    closing = 2 * len(opens)  # a row's index of the word close's ln P
+    rows, size, close = grammar._rows, grammar._size, symbols[1]
     most = 3 * len(plan) + 3  # more than the symbols of the turn
     margin = 2 * most * math.ulp(most * grammar._surprisal_bound())
 
-    state, lp = step(0, turn_open)
-    entries = []  # candidates (see the module docstring); the first tone opens the first word
-    for p, _, m in news:
-        opened, lp1 = step(state, opens[p])
-        target, lp2 = step(opened, plan[0][1][p])
-        entries.append((lp + lp1 + lp2, 1, p, target * 2 + m))
+    # candidates (see the module docstring); the first tone opens the first word
+    k, syms = plan[0]
+    entries = rows.get(~k) or _start(grammar, syms, symbols)
 
     for k, syms in islice(plan, 1, None):
         merged: dict = {}  # key -> best candidate
         near: dict = {}  # key -> other candidates within the margin (see ``_near``)
         get = merged.get
         for score, bits, pbits, key in entries:
-            m = key & 1
-            state = key >> 1
-            row = rows.get(state * size + k) or _row(grammar, state, syms, close, opens)
+            row = rows.get(key * size + k) or _row(grammar, key, syms, symbols)
             bits <<= 1
             # continue the current word
-            s = score + row[2 * m + 1]
-            key = row[2 * m] * 2 + m
+            s = score + row[1]
+            key = row[0]
             old = get(key)
             if old is None or s > old[0] + margin:
                 merged[key] = (s, bits, pbits, key)
             elif s >= old[0] - margin:
                 _near(merged, near, (s, bits, pbits, key))
             # or close it and open a new word
-            score += row[closing]
+            score += row[2]
             bits |= 1
             pbits <<= 1
-            for p, i, m in news:
+            for p, i in news:
                 s = score + row[i] + row[i + 2]
-                key = row[i + 1] * 2 + m
+                key = row[i + 1]
                 old = get(key)
                 if old is None or s > old[0] + margin:
                     merged[key] = (s, bits, pbits | p, key)
@@ -378,10 +417,8 @@ def segment_turn(
 
     finals = []
     for score, bits, pbits, key in entries:
-        closed, lp = step(key >> 1, close)
-        score += lp
-        _, lp = step(closed, turn_close)
-        finals.append((-(score + lp), bits.bit_count(), bits, pbits))
+        end = rows.get(key * size + close) or _end(grammar, key, symbols)
+        finals.append((-(score + end[0] + end[1]), bits.bit_count(), bits, pbits))
     total, words, bits, pbits = min(finals)
     # One char per tone, "1" where a word opens (always the first tone),
     # and a "1" after the last tone to end the last word.

@@ -156,11 +156,13 @@ class PlantedGrammar:
 
 def _table(dist) -> tuple[list[float], list]:
     """A distribution's partial sums, added left to right, and its values
-    with the last one repeated: ``values[bisect_right(sums, x)]`` is the
-    first value whose partial sum exceeds ``x``, or the last value when
-    ``x`` is past the total (which may fall short of 1 by rounding)."""
+    followed by the last value of positive probability:
+    ``values[bisect_right(sums, x)]`` is the first value whose partial sum
+    exceeds ``x``, or the last value that can be drawn when ``x`` is past
+    the total (which may fall short of 1 by rounding)."""
     values = [value for value, _ in dist]
-    return list(accumulate(p for _, p in dist)), values + values[-1:]
+    last = next(value for value, p in reversed(dist) if p > 0)
+    return list(accumulate(p for _, p in dist)), values + [last]
 
 
 def sample_corpus(planted: PlantedGrammar, n_words: int, seed: int | None = None) -> Corpus:

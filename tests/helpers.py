@@ -84,14 +84,14 @@ def random_planted(rng: random.Random, prominence: float | None = None) -> Plant
 def draw_by_scan(rng: random.Random, dist):
     """Reference for one draw of ``synth.sample_corpus``: the first value
     whose partial sum, added left to right, exceeds ``random()``, or the
-    last value when the draw is past the total."""
+    last value of positive probability when the draw is past the total."""
     x = rng.random()
     acc = 0.0
     for value, p in dist:
         acc += p
         if x < acc:
             return value
-    return dist[-1][0]
+    return [value for value, p in dist if p > 0][-1]
 
 
 def sample_corpus_by_scan(planted: PlantedGrammar, n_words: int, seed: int | None = None) -> Corpus:

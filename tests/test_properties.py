@@ -162,6 +162,27 @@ def test_decoder_equals_oracle(grammar, stream):
     assert segment_turn(grammar, stream, scheme) == brute_force_segment(grammar, stream, scheme)
 
 
+def near_ties(seed, scheme, smoothing, *streams):
+    """``near_tie``'s grammar with several streams."""
+    return near_tie(seed, scheme, smoothing, "")[0], [[Tone(c) for c in s] for s in streams]
+
+
+@settings(PROPERTY, max_examples=50)
+@given(grammars, st.lists(tone_streams(max_size=6), min_size=1, max_size=4))
+@example(*near_ties(816, HIERARCHICAL, 0.05, "TMMMMTT", "TMM", "MMMTT"))
+@example(*near_ties(6313, HIERARCHY_PROMINENCE, 0.01, "LLLLMM", "LLM", "MMLL"))
+@example(*near_ties(1307, HIERARCHY_PROMINENCE_TONES, 0.05, "HBBBHH", "BBH", "HHBB"))
+def test_decoder_equals_oracle_on_stored_tables(grammar, streams):
+    # One grammar decodes the streams twice: the first pass fills the rows,
+    # start rows and end rows, the second reads only stored ones.
+    scheme = grammar.scheme
+    want = [brute_force_segment(grammar, s, scheme) for s in streams]
+    assert [segment_turn(grammar, s, scheme) for s in streams] == want
+    rows = dict(grammar._rows)
+    assert [segment_turn(grammar, s, scheme) for s in streams] == want
+    assert grammar._rows == rows
+
+
 @PROPERTY
 @given(tone_blind_grammars(), tone_streams(4, 7))
 def test_decoder_breaks_ties_like_oracle(grammar, stream):

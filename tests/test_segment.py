@@ -515,8 +515,13 @@ def test_table_states_are_context_keys():
 
 
 def _row_bits(rows):
-    """Rows with each float as its exact bits."""
-    return {k: tuple(x.hex() if isinstance(x, float) else x for x in row) for k, row in rows.items()}
+    """Rows with each float, also inside a start row's candidates, as its exact bits."""
+    def bits(x):
+        if isinstance(x, float):
+            return x.hex()
+        return tuple(map(bits, x)) if isinstance(x, tuple) else x
+
+    return {k: bits(row) for k, row in rows.items()}
 
 
 def _decode_streams(rng, n=30, longest=25):
@@ -524,11 +529,16 @@ def _decode_streams(rng, n=30, longest=25):
 
 
 def test_rows_are_chains_of_steps():
-    # A row holds, for one automaton state and tone, what the chain of
-    # step calls it stands for returns, bit for bit: per prominence option
-    # the continuation, then the word close, then per option the opener and
-    # the tone.  The chain is re-stepped on a fresh copy of the grammar, so
-    # no row and no entry is shared.
+    # Every stored table holds what the chain of step calls it stands for
+    # returns, bit for bit.  A merge key is ``state * W + m`` (W = 2 only
+    # when a prominent word's tones are symbols of their own, m then the
+    # current word's prominence).  Under ``~tone``, a start row holds the
+    # first tone's candidates; under ``key * size + tone``, a row holds
+    # the continuation's key and ln P, the word close's ln P, then per
+    # prominence option the opener's ln P, the new key and the tone's
+    # ln P; under ``key * size + word close``, an end row holds the ln P
+    # of the word close and the turn close.  The chains are re-stepped on
+    # a fresh copy of the grammar, so no table and no entry is shared.
     rng = random.Random(46)
     texts = [
         save_model(trained(scheme, rng, n_turns=16, depth=depth, min_count=min_count))
@@ -540,28 +550,56 @@ def test_rows_are_chains_of_steps():
         scheme = g.scheme
         for stream in _decode_streams(rng):
             segment_turn(g, stream, scheme)
-        assert g._rows
         fresh = load_model(text)
-        index, size = scheme.index, scheme.size
+        step, index, size = fresh.step, scheme.index, scheme.size
         options = (False, True) if scheme.prominence != "none" else (False,)
+        width = 2 if scheme.prominence == "tones" else 1
+        close, turn_open, turn_close = (index(s) for s in (Marker.WORD_CLOSE, Marker.TURN_OPEN, Marker.TURN_CLOSE))
         by_plain = {index(t): t for t in Tone}
-        for key in g._rows:
-            state, tone = key // size, by_plain[key % size]
-            syms = [index(scheme.tone_symbol(tone, p)) for p in options]
-            chain = [x for a in syms for x in fresh.step(state, a)]
-            closed, lp = fresh.step(state, index(Marker.WORD_CLOSE))
-            chain.append(lp)
-            for p, a in zip(options, syms):
-                opened, lp = fresh.step(closed, index(scheme.word_open_symbol(p)))
-                chain.append(lp)
-                chain.extend(fresh.step(opened, a))
-            assert _row_bits({key: g._rows[key]}) == _row_bits({key: tuple(chain)})
+
+        def merge_key(state, m):
+            return state * 2 + m if width == 2 else state
+
+        def symbols(plain):
+            return [index(scheme.tone_symbol(by_plain[plain], p)) for p in options]
+
+        own = {id(target) for target, _ in g._entries.values()}
+        kinds = set()
+        for key, row in g._rows.items():
+            if key < 0:
+                kinds.add("start")
+                state, lp = step(0, turn_open)
+                chain = []
+                for p, a in enumerate(symbols(~key)):
+                    opened, lp1 = step(state, index(scheme.word_open_symbol(options[p])))
+                    target, lp2 = step(opened, a)
+                    chain.append((lp + lp1 + lp2, 1, p, merge_key(target, p)))
+            elif key % size == close:
+                kinds.add("end")
+                closed, lp = step(key // size // width, close)
+                chain = [lp, step(closed, turn_close)[1]]
+            else:
+                kinds.add("row")
+                state, m = divmod(key // size, width)
+                syms = symbols(key % size)
+                target, lp = step(state, syms[m])
+                closed, close_lp = step(state, close)
+                chain = [merge_key(target, m), lp, close_lp]
+                for p, a in enumerate(syms):
+                    opened, open_lp = step(closed, index(scheme.word_open_symbol(options[p])))
+                    target, lp = step(opened, a)
+                    chain += [open_lp, merge_key(target, p), lp]
+                if width == 1:  # the keys are the automaton entries' own ints, not copies
+                    assert all(id(k) in own for k in (row[0], *row[4::3]))
+            assert _row_bits({key: row}) == _row_bits({key: tuple(chain)})
+        assert kinds == {"start", "row", "end"}
 
 
 def test_rows_do_not_depend_on_decode_order():
-    # Like the automaton's entries, rows are keyed by context key and
-    # tone, not by fill order: fresh grammars that decode the same turns
-    # in opposite orders end with the same rows, bit for bit.
+    # Like the automaton's entries, rows, start rows and end rows are
+    # keyed by merge key and symbol, not by fill order: fresh grammars that
+    # decode the same turns in opposite orders end with the same tables,
+    # bit for bit.
     rng = random.Random(47)
     texts = [
         save_model(trained(HIERARCHY_PROMINENCE, rng, n_turns=20, depth=3, min_count=2)),

@@ -150,6 +150,15 @@ def test_table_draw_past_the_total():
         assert drawn_tone(dist, x) == scan(dist, x) == H
 
 
+def test_table_draw_past_the_total_skips_zero_probabilities():
+    # Past the total, the draw gets the last value that can be drawn,
+    # never a trailing value of probability 0.
+    dist = ((T, 1 - 5e-10), (L, 0.0))
+    for x in (0.9999999999, 1 - 2**-53):
+        assert x >= 1 - 5e-10
+        assert drawn_tone(dist, x) == scan(dist, x) == T
+
+
 def test_table_draw_skips_zero_probabilities():
     dist = ((T, 0.0), (M, 0.5), (B, 0.0), (H, 0.5), (S, 0.0))  # sums 0, .5, .5, 1, 1
     rng = random.Random(0)
