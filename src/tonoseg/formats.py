@@ -12,8 +12,9 @@ Model files open with ``tonoseg-model v1``, then the scheme id, the
 training configuration, and one line per retained context: its
 symbols (``.`` for the root) followed by the successor counts in
 alphabet order.  Segmentation files carry one turn per line as
-``start-end`` spans, ``*``-suffixed when prominent; one loop per line
-reads them and finds the first error, with no second parser.
+``start-end`` spans, ``*``-suffixed when prominent.  Corpus turn lines
+and segmentation lines have one parser each; a turn line that the
+parser rejects is walked token by token only to find its error.
 """
 
 from __future__ import annotations
@@ -90,13 +91,12 @@ def parse_corpus(text: str) -> Corpus:
     """Parse a corpus document; the first error is reported with its
     1-based line and column.
 
-    A line after the header goes first to a fast path
-    (``_read_turn_line``), which splits it at ``)`` once and builds each
+    A line after the header goes first to ``_read_turn_line``, the one
+    turn-line parser, which splits it at ``)`` once and builds each
     distinct piece's word once per call; words are frozen, so turns
-    share them.  Only a line the fast path rejects is tested for a
-    blank, a comment or ``@`` metadata (a line it accepts starts with
-    ``(`` or ``*(``), and a turn line it rejects is parsed again by
-    ``_parse_turn_line``, which reports the error."""
+    share them.  Only a line it rejects is tested for a blank, a comment
+    or ``@`` metadata (a line it accepts starts with ``(`` or ``*(``);
+    for any other, ``_turn_line_error`` finds the error to raise."""
     numbered = enumerate(text.splitlines(), start=1)
     try:
         line_no, header = next(_drop_comments(numbered))
@@ -123,7 +123,7 @@ def parse_corpus(text: str) -> Corpus:
             key, *value = body.split(maxsplit=1)  # at any whitespace, as the tokenizer
             metadata[key] = value[0] if value else ""
             continue
-        turns.append(_parse_turn_line(line, line_no))
+        raise _turn_line_error(line, line_no)
     return Corpus(tuple(turns), metadata)
 
 
@@ -154,35 +154,31 @@ def _read_turn_line(line: str, words: dict) -> Turn | None:
     return Turn._of(tuple(turn))
 
 
-def _parse_turn_line(line: str, line_no: int) -> Turn:
-    words = []
-    tones: list[Tone] = []
-    prominent = False
-    in_word = False
+def _turn_line_error(line: str, line_no: int) -> PositionedError:
+    """The first error, found token by token, of a turn line that
+    ``_read_turn_line`` rejects; a line without one is a bug of the reader."""
+    in_word = has_tones = False
     for m in _TOKEN.finditer(line):
-        token, col = m.group(), m.start() + 1
+        token, col = m[0], m.start() + 1
         if token in ("(", "*("):
             if in_word:
-                raise NestingError("word opened inside a word", line_no, col)
-            in_word = True
-            prominent = token == "*("
-            tones = []
+                return NestingError("word opened inside a word", line_no, col)
+            in_word, has_tones = True, False
         elif token == ")":
             if not in_word:
-                raise NestingError("')' without matching open", line_no, col)
-            if not tones:
-                raise EmptyWordError("word contains no tones", line_no, col)
-            words.append(ProsodicWord(tuple(tones), prominent))
+                return NestingError("')' without matching open", line_no, col)
+            if not has_tones:
+                return EmptyWordError("word contains no tones", line_no, col)
             in_word = False
         elif in_word:
             if token not in _TONE_OF:
-                raise UnknownToneError(f"unknown tone letter {token!r}", line_no, col)
-            tones.append(Tone(token))
+                return UnknownToneError(f"unknown tone letter {token!r}", line_no, col)
+            has_tones = True
         else:
-            raise NestingError(f"token {token!r} outside a word", line_no, col)
+            return NestingError(f"token {token!r} outside a word", line_no, col)
     if in_word:
-        raise NestingError("unclosed word at end of line", line_no, len(line))
-    return Turn(tuple(words))
+        return NestingError("unclosed word at end of line", line_no, len(line))
+    raise RuntimeError(f"line {line_no}: turn line {line!r} was rejected but holds no error")
 
 
 def serialize_corpus(corpus: Corpus) -> str:

@@ -121,6 +121,9 @@ class SegmentCorpusError(TonosegError):
         super().__init__(f"{len(failures)} turn(s) failed: {shown}")
 
 
+_EMPTY = "empty tone sequence"
+
+
 class WordSpan(NamedTuple):
     start: int
     end: int
@@ -167,20 +170,20 @@ def spans_to_symbols(tones: Sequence[Tone], spans: Sequence[WordSpan], scheme: E
     return encode_words([ProsodicWord(tones[s:e], p) for s, e, p in spans], scheme)
 
 
-def _check_inputs(grammar: PatternGrammar, tones: Sequence[Tone], scheme: EncodingScheme):
-    if not tones:
-        raise SegmentationError("empty tone sequence")
+def _check_inputs(grammar: PatternGrammar, tones: Iterable[Tone], scheme: EncodingScheme):
+    """Raise if the scheme or grammar cannot segment.  Callers find an empty
+    stream as they read it; an empty sized stream is reported here first."""
     if not scheme.word_markers:
-        raise SegmentationError(
-            f"scheme {scheme.scheme_id!r} does not mark word boundaries; cannot segment"
-        )
-    if scheme is not grammar.scheme and scheme != grammar.scheme:
-        raise SegmentationError(
-            f"scheme {scheme.scheme_id!r} does not match grammar scheme "
-            f"{grammar.scheme.scheme_id!r}"
-        )
-    if grammar.config.smoothing <= 0:
-        raise SegmentationError("segmentation requires positive smoothing")
+        fault = f"scheme {scheme.scheme_id!r} does not mark word boundaries; cannot segment"
+    elif scheme is not grammar.scheme and scheme != grammar.scheme:
+        fault = f"scheme {scheme.scheme_id!r} does not match grammar scheme {grammar.scheme.scheme_id!r}"
+    elif grammar.config.smoothing <= 0:
+        fault = "segmentation requires positive smoothing"
+    else:
+        return
+    if hasattr(tones, "__len__") and len(tones) == 0:
+        fault = _EMPTY
+    raise SegmentationError(fault)
 
 
 def _as_tone(element) -> Tone:
@@ -233,6 +236,8 @@ def brute_force_segment(
     _check_inputs(grammar, tones, scheme)
     tones = [_as_tone(t) for t in tones]
     n = len(tones)
+    if not n:
+        raise SegmentationError(_EMPTY)
     if n > 14:
         raise SegmentationError(f"brute force limited to 14 tones, got {n}")
 
@@ -334,31 +339,25 @@ def _rank(candidate: tuple) -> tuple:
     return -score, bits.bit_count(), bits, pbits
 
 
-def _near(merged: dict, near: dict, candidate: tuple) -> None:
-    """File a candidate within the margin of its key's best: the one of the
-    two that ranks first is the best, the other joins the key's extras."""
-    key = candidate[3]
-    best = merged[key]
-    if _rank(candidate) < _rank(best):
-        merged[key], candidate = candidate, best
-    near.setdefault(key, []).append(candidate)
-
-
 def _extras(merged: dict, near: dict, margin: float) -> list:
-    """The extras worth expanding: per key, those at most ``margin`` below
-    the best that no candidate of the key beats in score and oracle key."""
+    """The next tone's candidates when some keys have near ties: per key,
+    the first in ``_rank`` order of its merged and near candidates, stored
+    as its best, and those at most ``margin`` below it that no candidate
+    of the key beats in score and oracle key."""
     kept = []
     for key, group in near.items():
-        best = merged[key]
+        group.append(merged[key])
+        group.sort(key=_rank)
+        best = merged[key] = group[0]
         beaten = _rank(best)[1:]  # the least tie key of a candidate ranked before
-        for candidate in sorted(group, key=_rank):
+        for candidate in group[1:]:
             if candidate[0] < best[0] - margin:
                 break
             order = _rank(candidate)[1:]
             if order < beaten:
                 kept.append(candidate)
                 beaten = order
-    return kept
+    return [*merged.values(), *kept]
 
 
 def segment_turn(
@@ -378,17 +377,20 @@ def segment_turn(
     _check_inputs(grammar, tones, scheme)
     symbols, news, known = _layout(scheme)
     plan = _plan(scheme, tones, known)
+    try:
+        k, syms = plan[0]
+    except IndexError:
+        raise SegmentationError(_EMPTY) from None
     rows, size, close = grammar._rows, grammar._size, symbols[1]
     most = 3 * len(plan) + 3  # more than the symbols of the turn
     margin = 2 * most * math.ulp(most * grammar._surprisal_bound())
 
     # candidates (see the module docstring); the first tone opens the first word
-    k, syms = plan[0]
     entries = rows.get(~k) or _start(grammar, syms, symbols)
 
     for k, syms in islice(plan, 1, None):
-        merged: dict = {}  # key -> best candidate
-        near: dict = {}  # key -> other candidates within the margin (see ``_near``)
+        merged: dict = {}  # key -> best candidate (settled by ``_extras`` on near ties)
+        near: dict = {}  # key -> other candidates within the margin (see ``_extras``)
         get = merged.get
         for score, bits, pbits, key in entries:
             row = rows.get(key * size + k) or _row(grammar, key, syms, symbols)
@@ -400,7 +402,7 @@ def segment_turn(
             if old is None or s > old[0] + margin:
                 merged[key] = (s, bits, pbits, key)
             elif s >= old[0] - margin:
-                _near(merged, near, (s, bits, pbits, key))
+                near.setdefault(key, []).append((s, bits, pbits, key))
             # or close it and open a new word
             score += row[2]
             bits |= 1
@@ -412,8 +414,8 @@ def segment_turn(
                 if old is None or s > old[0] + margin:
                     merged[key] = (s, bits, pbits | p, key)
                 elif s >= old[0] - margin:
-                    _near(merged, near, (s, bits, pbits | p, key))
-        entries = [*merged.values(), *_extras(merged, near, margin)] if near else merged.values()
+                    near.setdefault(key, []).append((s, bits, pbits | p, key))
+        entries = _extras(merged, near, margin) if near else merged.values()
 
     finals = []
     for score, bits, pbits, key in entries:

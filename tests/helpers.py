@@ -8,20 +8,25 @@ import random
 from tonoseg.core import (
     AlphabetError,
     Corpus,
+    EmptyWordError,
     InvalidArgumentError,
     ProsodicWord,
     Tone,
     TonosegError,
     Turn,
     UnknownSchemeError,
+    UnknownToneError,
     get_scheme,
 )
 from tonoseg.evaluate import ConfusionMatrix, EvaluationError
 from tonoseg.formats import (
     _SPAN,
     _TOKEN,
+    CORPUS_HEADER,
     MODEL_HEADER,
+    CorpusFormatError,
     CorruptModelError,
+    NestingError,
     SchemeMismatchError,
     SegmentationFormatError,
     VersionError,
@@ -228,6 +233,59 @@ def load_model_per_line(text: str, expected_scheme: str | None = None) -> Patter
     if not nodes:
         raise CorruptModelError("document has no root node")
     return grammar
+
+
+def parse_corpus_per_token(text: str) -> Corpus:
+    """Reference for ``formats.parse_corpus``: each token of a turn line
+    is read with its column, and a word is built when its ``)`` closes it."""
+    lines = _content_lines(text)
+    try:
+        line_no, header = next(lines)
+    except StopIteration:
+        raise VersionError(f"missing header {CORPUS_HEADER!r}", 1, 1) from None
+    if header.strip() != CORPUS_HEADER:
+        raise VersionError(f"expected header {CORPUS_HEADER!r}, got {header.strip()!r}", line_no, 1)
+    turns = []
+    metadata: dict = {}
+    for line_no, line in lines:
+        stripped = line.strip()
+        if stripped.startswith("@"):
+            body = stripped[1:]
+            if not body[:1].strip():
+                raise CorpusFormatError("metadata line has no key", line_no, 1)
+            key, *value = body.split(maxsplit=1)
+            metadata[key] = value[0] if value else ""
+            continue
+        words = []
+        tones: list[Tone] = []
+        prominent = False
+        in_word = False
+        for m in _TOKEN.finditer(line):
+            token, col = m.group(), m.start() + 1
+            if token in ("(", "*("):
+                if in_word:
+                    raise NestingError("word opened inside a word", line_no, col)
+                in_word = True
+                prominent = token == "*("
+                tones = []
+            elif token == ")":
+                if not in_word:
+                    raise NestingError("')' without matching open", line_no, col)
+                if not tones:
+                    raise EmptyWordError("word contains no tones", line_no, col)
+                words.append(ProsodicWord(tuple(tones), prominent))
+                in_word = False
+            elif in_word:
+                try:
+                    tones.append(Tone(token))
+                except ValueError:
+                    raise UnknownToneError(f"unknown tone letter {token!r}", line_no, col) from None
+            else:
+                raise NestingError(f"token {token!r} outside a word", line_no, col)
+        if in_word:
+            raise NestingError("unclosed word at end of line", line_no, len(line))
+        turns.append(Turn(tuple(words)))
+    return Corpus(tuple(turns), metadata)
 
 
 def parse_segmentation_per_token(text: str) -> list[SegmentationResult]:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tonoseg import core
+from tonoseg import core, formats
+from tonoseg.cli import main
 from tonoseg.core import (
     HIERARCHICAL,
     HIERARCHY_PROMINENCE,
@@ -97,16 +98,36 @@ def test_nesting_errors():
         (")( L )", NestingError, "token ')(' outside a word", 1),
         ("( T L)( H )", UnknownToneError, "unknown tone letter 'L)('", 5),
         ("( T ) )", NestingError, "')' without matching open", 7),
+        ("( T ) ( H ( L )", NestingError, "word opened inside a word", 11),
+        ("( T ) ( )", EmptyWordError, "word contains no tones", 9),
+        ("( T ) ( X )", UnknownToneError, "unknown tone letter 'X'", 9),
+        ("( T ) ( H  ", NestingError, "unclosed word at end of line", 11),
     ],
 )
 def test_turn_line_split_edges(line, error, message, column):
-    # Lines that the fast reader's split at ")" rejects; the parser
-    # reports them as it always has.
+    # Lines that the reader's split at ")" rejects, each reported with its
+    # first error.  Each of the six errors of a turn line appears after a
+    # valid word; an unclosed word is reported at the line's last column,
+    # trailing whitespace included.
     with pytest.raises(error) as exc:
         parse_corpus(HEADER + "( H )\n" + line + "\n")
     assert type(exc.value) is error
     assert str(exc.value) == f"line 3, column {column}: {message}"
     assert (exc.value.line, exc.value.column) == (3, column)
+
+
+def test_rejected_line_without_error_is_a_bug(monkeypatch, tmp_path, capsys):
+    # If the reader rejected a valid turn line, the error finder finds no
+    # error: that is a bug of the reader, not bad input, so it is no
+    # TonosegError and the CLI exits with 3.
+    monkeypatch.setattr(formats, "_read_turn_line", lambda line, words: None)
+    text = HEADER + "# c\n*( H )\n"
+    with pytest.raises(RuntimeError, match="^line 3: turn line '\\*\\( H \\)' was rejected"):
+        parse_corpus(text)
+    path = tmp_path / "corpus.txt"
+    path.write_text(text)
+    assert main(["encode", "--corpus", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("tonoseg: internal error: RuntimeError(")
 
 
 def test_turn_line_split_accepts_any_whitespace():

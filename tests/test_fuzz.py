@@ -8,9 +8,10 @@ single spaces on a fast path and builds each distinct row once, agrees
 with the per-line reference loader on every mutated model, including
 rows with odd whitespace, comment and blank lines between rows, and rows
 moved past their own subtree's rows.  The corpus
-parser's fast path for turn lines agrees with the token-by-token parser
-that reports errors, and the segmentation reader agrees with a
-token-by-token reference parser.
+parser, whose turn lines are read by one split at ``)``, and the
+segmentation reader agree with token-by-token reference parsers in
+``helpers.py``: the same result, or the same error type, message, line
+and column.
 Random corpora and segmentations survive a write and a read.
 ``decode_turn`` accepts exactly what ``encode_turn`` produces.
 The saved models are the pinned ones of ``fixtures/model_golden.json``
@@ -21,7 +22,6 @@ exactly.
 import json
 import math
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +41,6 @@ from tonoseg.core import (
     get_scheme,
 )
 from tonoseg.formats import (
-    _parse_turn_line,
     _read_turn_line,
     load_model,
     parse_corpus,
@@ -53,7 +52,7 @@ from tonoseg.formats import (
 from tonoseg.grammar import model_entropy
 from tonoseg.segment import SegmentationResult, WordSpan, segment_turn
 from tonoseg.synth import PlantedGrammar
-from helpers import TONES, load_model_per_line, parse_segmentation_per_token
+from helpers import TONES, load_model_per_line, parse_corpus_per_token, parse_segmentation_per_token
 
 FUZZ = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 FUZZ_FAST = settings(FUZZ, max_examples=200)
@@ -267,35 +266,36 @@ TURN_DOCUMENTS = [
 TURN_CHARACTERS = "TMBHLUDh()*@# \n\t\x0b\x1c\u3000"
 
 
+def corpus_outcome(parse, text):
+    """The corpus that ``parse`` reads, or the error it raises."""
+    try:
+        return parse(text)
+    except TonosegError as err:
+        return type(err), str(err), err.line, err.column
+
+
 @FUZZ
 @given(mutated_text(TURN_DOCUMENTS, TURN_CHARACTERS))
 def test_fast_turn_reader_agrees_with_parser(text):
     # Lines as parse_corpus sees them; one word memo, as in one parse_corpus
-    # call.  The fast path reads every line the parser reads, and no other.
+    # call.  The split reader reads every line that the per-token reference
+    # reads as a turn, to the same turn, and no other line.
     words = {}
     for line in text.splitlines():
         fast = _read_turn_line(line, words)
-        try:
-            slow = _parse_turn_line(line, 1)
-        except TonosegError:
-            assert fast is None
+        outcome = corpus_outcome(parse_corpus_per_token, formats.CORPUS_HEADER + "\n" + line)
+        if isinstance(outcome, Corpus):
+            assert outcome.turns == (() if fast is None else (fast,))
         else:
-            assert fast == slow
+            assert fast is None
 
 
 @FUZZ
 @given(mutated_text([formats.CORPUS_HEADER + "\n" + doc for doc in TURN_DOCUMENTS], TURN_CHARACTERS))
 def test_parse_corpus_fast_path_keeps_errors(text):
-    # With the fast path off, every line goes through _parse_turn_line.
-    def parse():
-        try:
-            return parse_corpus(text)
-        except TonosegError as err:
-            return type(err), str(err)
-
-    with mock.patch.object(formats, "_read_turn_line", lambda line, words: None):
-        expected = parse()
-    assert parse() == expected
+    # parse_corpus reads the corpus of the per-token reference, or raises
+    # its error: the same type, message, line and column.
+    assert corpus_outcome(parse_corpus, text) == corpus_outcome(parse_corpus_per_token, text)
 
 
 @st.composite

@@ -10,6 +10,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,6 +338,31 @@ def test_segment_corpus_order_and_errors():
     assert str(exc.value) == (
         f"5 turn(s) failed: turn 0: {empty}; turn 1: {empty}; turn 2: {empty}; ... 2 more"
     )
+
+
+def test_empty_streams_of_any_kind():
+    # An iterator or a generator shows that it is empty only when it is
+    # read; every entry point reports it as an empty sequence does, and
+    # segment_corpus collects it.  An array of tone letters is a stream
+    # like a list.  An empty sequence is still reported before a scheme
+    # that cannot segment.
+    g = trained(HIERARCHICAL, random.Random(39))
+    empty = "^empty tone sequence$"
+    for stream in (iter([]), (t for t in ()), [], (), np.array([], dtype=str)):
+        for decode in (segment_turn, brute_force_segment):
+            with pytest.raises(SegmentationError, match=empty):
+                decode(g, stream, HIERARCHICAL)
+    with pytest.raises(SegmentCorpusError) as exc:
+        segment_corpus(g, [(H,), iter([]), (t for t in ())], HIERARCHICAL)
+    failures = [(i, str(err)) for i, err in exc.value.failures]
+    assert failures == [(1, "empty tone sequence"), (2, "empty tone sequence")]
+    assert all(type(err) is SegmentationError for _, err in exc.value.failures)
+    for decode in (segment_turn, brute_force_segment):
+        with pytest.raises(SegmentationError, match=empty):
+            decode(g, [], FLAT)
+        want = decode(g, [H, L, T], HIERARCHICAL)
+        assert decode(g, np.array(["H", "L", "T"]), HIERARCHICAL) == want
+        assert decode(g, iter([H, L, T]), HIERARCHICAL) == want
 
 
 def test_segment_scale():
