@@ -168,9 +168,9 @@ class EncodingScheme:
 
     def __post_init__(self):
         if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError(f"scheme {self.scheme_id!r}: duplicate alphabet symbols")
+            raise InvalidArgumentError(f"scheme {self.scheme_id!r}: duplicate alphabet symbols")
         if self.prominence not in ("none", "marker", "tones"):
-            raise ValueError(f"bad prominence style {self.prominence!r}")
+            raise InvalidArgumentError(f"bad prominence style {self.prominence!r}")
 
     @property
     def size(self) -> int:

@@ -34,7 +34,7 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise ValueError("confusion counts must be non-negative")
+            raise InvalidArgumentError("confusion counts must be non-negative")
 
     @property
     def total_slots(self) -> int:

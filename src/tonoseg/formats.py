@@ -73,11 +73,6 @@ _TOKEN = re.compile(r"\S+")
 _TONE_OF = {t.value: t for t in Tone}
 
 
-def _content_lines(text: str):
-    """(line_no, line) pairs with comments and blank lines dropped."""
-    return _drop_comments(enumerate(text.splitlines(), start=1))
-
-
 def _drop_comments(numbered):
     """The (line_no, line) pairs of ``numbered`` whose line is neither
     blank nor a comment (first non-space character ``#``)."""
@@ -377,7 +372,7 @@ def parse_segmentation(text: str) -> list[SegmentationResult]:
     all parse but whose spans do not tile is reported at column 1."""
     results = []
     spans_of: dict[str, WordSpan] = {}  # a span token -> its span
-    for line_no, line in _content_lines(text):
+    for line_no, line in _drop_comments(enumerate(text.splitlines(), start=1)):
         spans = []
         pos = 0  # the end of the spans so far, or -1 once they fail to tile
         for token in line.split():

@@ -200,15 +200,10 @@ class PatternGrammar:
             for sym in counts:
                 if sym not in digits:
                     raise AlphabetError(f"successor {sym!r} not in scheme alphabet")
-            grammar._insert(key, [counts.get(s, 0) for s in scheme.alphabet], context)
+            grammar._check_context(key, context)
+            grammar._nodes[key] = grammar._new_node([counts.get(s, 0) for s in scheme.alphabet], context)
         grammar._nodes.setdefault(0, _Node([0] * scheme.size))
         return grammar
-
-    def _insert(self, key: int, counts: list[int], context: Sequence) -> None:
-        """Store one context's successor counts, a list in alphabet order.
-        ``context`` (symbols or model-file tokens) names it in errors."""
-        self._check_context(key, context)
-        self._nodes[key] = self._new_node(counts, context)
 
     def _check_context(self, key: int, context: Sequence) -> None:
         """Raise unless context ``key`` may be stored next: it is new, not

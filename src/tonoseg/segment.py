@@ -74,8 +74,10 @@ boundary bits (one per tone, 1 where a word opens), prominence bits
 (one per word) and merge key.  Candidates of a step have as many
 boundary bits, so comparing integers compares vectors.  Merging on an
 exact score tie and the final choice compare ``(-score, words, bits,
-prominence bits)``, where ``words`` is ``bits.bit_count()``.  The
-stream is checked once, before any automaton entry or table is filled.
+prominence bits)``, where ``words`` is ``bits.bit_count()``.  Both
+entry points read the stream once, into a tuple, through one check, so
+any iterable of tones or tone letters gives one result or one error; a
+non-tone is refused before any automaton entry or table is filled.
 
 The result is built straight from the winner's two integers: the
 boundary bits as one binary string, from which ``str.find`` jumps from
@@ -119,9 +121,6 @@ class SegmentCorpusError(TonosegError):
         if len(failures) > 3:
             shown += f"; ... {len(failures) - 3} more"
         super().__init__(f"{len(failures)} turn(s) failed: {shown}")
-
-
-_EMPTY = "empty tone sequence"
 
 
 class WordSpan(NamedTuple):
@@ -170,19 +169,20 @@ def spans_to_symbols(tones: Sequence[Tone], spans: Sequence[WordSpan], scheme: E
     return encode_words([ProsodicWord(tones[s:e], p) for s, e, p in spans], scheme)
 
 
-def _check_inputs(grammar: PatternGrammar, tones: Iterable[Tone], scheme: EncodingScheme):
-    """Raise if the scheme or grammar cannot segment.  Callers find an empty
-    stream as they read it; an empty sized stream is reported here first."""
-    if not scheme.word_markers:
+def _read_stream(grammar: PatternGrammar, tones: Iterable[Tone], scheme: EncodingScheme) -> tuple:
+    """The stream read once, as a tuple (a tuple passes uncopied).  Raise if
+    it is empty, else if the scheme or grammar cannot segment."""
+    tones = tuple(tones)
+    if not tones:
+        fault = "empty tone sequence"
+    elif not scheme.word_markers:
         fault = f"scheme {scheme.scheme_id!r} does not mark word boundaries; cannot segment"
     elif scheme is not grammar.scheme and scheme != grammar.scheme:
         fault = f"scheme {scheme.scheme_id!r} does not match grammar scheme {grammar.scheme.scheme_id!r}"
     elif grammar.config.smoothing <= 0:
         fault = "segmentation requires positive smoothing"
     else:
-        return
-    if hasattr(tones, "__len__") and len(tones) == 0:
-        fault = _EMPTY
+        return tones
     raise SegmentationError(fault)
 
 
@@ -226,18 +226,16 @@ def _spans_from_vectors(bounds: Sequence, proms: Sequence) -> tuple[WordSpan, ..
 
 
 def brute_force_segment(
-    grammar: PatternGrammar, tones: Sequence[Tone], scheme: EncodingScheme
+    grammar: PatternGrammar, tones: Iterable[Tone], scheme: EncodingScheme
 ) -> SegmentationResult:
     """Score every candidate exhaustively by the chain rule and return the best one.
 
-    Exponential in the stream length (and word count under prominence
-    schemes); refuses streams longer than 14 tones.
+    ``tones`` is read once, as ``segment_turn`` reads it, and checked the
+    same way.  Exponential in the stream length (and word count under
+    prominence schemes); refuses streams longer than 14 tones.
     """
-    _check_inputs(grammar, tones, scheme)
-    tones = [_as_tone(t) for t in tones]
+    tones = [_as_tone(t) for t in _read_stream(grammar, tones, scheme)]
     n = len(tones)
-    if not n:
-        raise SegmentationError(_EMPTY)
     if n > 14:
         raise SegmentationError(f"brute force limited to 14 tones, got {n}")
 
@@ -325,7 +323,7 @@ def _end(grammar: PatternGrammar, key: int, symbols: tuple) -> tuple:
     return end
 
 
-def _plan(scheme: EncodingScheme, tones: Sequence, known: dict) -> list:
+def _plan(scheme: EncodingScheme, tones: tuple, known: dict) -> list:
     try:  # each stream element's ``_tone`` constants, looked up once per turn
         return [known[t] for t in tones]
     except (KeyError, TypeError):  # then ``_tone`` raises at the first bad element
@@ -362,25 +360,23 @@ def _extras(merged: dict, near: dict, margin: float) -> list:
 
 def segment_turn(
     grammar: PatternGrammar,
-    tones: Sequence[Tone],
+    tones: Iterable[Tone],
     scheme: EncodingScheme,
 ) -> SegmentationResult:
     """Maximum-score boundary (and prominence) placement, by exact DP.
 
-    See the module docstring for the merge key, the margin and the rows.
+    ``tones`` is read as the module docstring says; see it also for the
+    merge key, the margin and the rows.
     Prefix scores accumulate symbol by symbol in emission order, which
     keeps them bitwise equal to ``sequence_log_probability`` of the same
     candidate.  The winner's spans are read off its boundary and
     prominence bits in one pass, O(n) in the turn length, and returned
     without the tiling check of ``SegmentationResult(...)``.
     """
-    _check_inputs(grammar, tones, scheme)
+    tones = _read_stream(grammar, tones, scheme)
     symbols, news, known = _layout(scheme)
     plan = _plan(scheme, tones, known)
-    try:
-        k, syms = plan[0]
-    except IndexError:
-        raise SegmentationError(_EMPTY) from None
+    k, syms = plan[0]
     rows, size, close = grammar._rows, grammar._size, symbols[1]
     most = 3 * len(plan) + 3  # more than the symbols of the turn
     margin = 2 * most * math.ulp(most * grammar._surprisal_bound())
@@ -436,7 +432,7 @@ def segment_turn(
 
 def segment_corpus(
     grammar: PatternGrammar,
-    streams: Iterable[Sequence[Tone]],
+    streams: Iterable[Iterable[Tone]],
     scheme: EncodingScheme,
 ) -> list[SegmentationResult]:
     """Segment each turn's tone stream independently, order preserved.

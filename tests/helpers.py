@@ -30,7 +30,7 @@ from tonoseg.formats import (
     SchemeMismatchError,
     SegmentationFormatError,
     VersionError,
-    _content_lines,
+    _drop_comments,
 )
 from tonoseg.grammar import PatternGrammar, TrainConfig, _Node
 from tonoseg.segment import SegmentationResult, WordSpan
@@ -173,7 +173,7 @@ def model_entropy_per_position(grammar: PatternGrammar, sequences) -> tuple[floa
 def load_model_per_line(text: str, expected_scheme: str | None = None) -> PatternGrammar:
     """Reference for ``formats.load_model``: every row's counts are parsed,
     checked and stored as a node of its own, line by line."""
-    lines = _content_lines(text)
+    lines = _drop_comments(enumerate(text.splitlines(), start=1))
 
     def next_line(what):
         try:
@@ -227,7 +227,8 @@ def load_model_per_line(text: str, expected_scheme: str | None = None) -> Patter
         if key and not nodes:
             break
         try:
-            grammar._insert(key, counts, context)
+            grammar._check_context(key, context)
+            nodes[key] = grammar._new_node(counts, context)
         except TonosegError as err:
             raise CorruptModelError(f"line {line_no}: {err}") from None
     if not nodes:
@@ -238,7 +239,7 @@ def load_model_per_line(text: str, expected_scheme: str | None = None) -> Patter
 def parse_corpus_per_token(text: str) -> Corpus:
     """Reference for ``formats.parse_corpus``: each token of a turn line
     is read with its column, and a word is built when its ``)`` closes it."""
-    lines = _content_lines(text)
+    lines = _drop_comments(enumerate(text.splitlines(), start=1))
     try:
         line_no, header = next(lines)
     except StopIteration:
@@ -293,7 +294,7 @@ def parse_segmentation_per_token(text: str) -> list[SegmentationResult]:
     is found with its column and parsed, then ``SegmentationResult``
     checks that the line's spans tile the stream."""
     results = []
-    for line_no, line in _content_lines(text):
+    for line_no, line in _drop_comments(enumerate(text.splitlines(), start=1)):
         spans = []
         for m in _TOKEN.finditer(line):
             token, col = m.group(), m.start() + 1

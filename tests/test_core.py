@@ -96,13 +96,15 @@ def test_registry(monkeypatch):
 
 
 def test_duplicate_alphabet_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         EncodingScheme("dup", ("A", "A"))
+    assert isinstance(exc.value, core.TonosegError)
 
 
 def test_bad_prominence_style_rejected():
-    with pytest.raises(ValueError, match=r"^bad prominence style 'loud'$"):
+    with pytest.raises(ValueError, match=r"^bad prominence style 'loud'$") as exc:
         EncodingScheme("loud", ("A", "B"), prominence="loud")
+    assert isinstance(exc.value, core.TonosegError)
 
 
 def test_index_of_foreign_symbol():

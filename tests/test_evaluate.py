@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tonoseg.core import Corpus, InvalidArgumentError, ProsodicWord, Turn
+from tonoseg.core import Corpus, InvalidArgumentError, ProsodicWord, TonosegError, Turn
 from tonoseg.evaluate import (
     ConfusionMatrix,
     EvaluationError,
@@ -180,8 +180,9 @@ def test_f_measure_between_precision_and_recall():
 
 
 def test_confusion_matrix_validation_and_sum():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         ConfusionMatrix(-1, 0, 0, 0)
+    assert isinstance(exc.value, TonosegError)
     a = ConfusionMatrix(1, 2, 3, 4) + ConfusionMatrix(1, 1, 1, 1)
     assert (a.tp, a.fp, a.fn, a.tn) == (2, 3, 4, 5)
 

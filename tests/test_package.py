@@ -1,8 +1,12 @@
 import ast
+import builtins
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from tonoseg.core import TonosegError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,3 +50,40 @@ def test_private_names_are_used_in_the_package():
         and not reads.get(name, set()) - {id(n) for n in ast.walk(definition)}
     ]
     assert unused == []
+
+
+def _raised(node, scope):
+    """(enclosing function name, raised expression) per ``raise C(...)`` or
+    ``raise C`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc
+            yield scope, exc.func if isinstance(exc, ast.Call) else exc
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _raised(child, inner)
+
+
+def _resolve(module, expr):
+    """The object a name or dotted name means in ``module``, else None."""
+    if isinstance(expr, ast.Name):
+        return getattr(module, expr.id, getattr(builtins, expr.id, None))
+    if isinstance(expr, ast.Attribute):
+        return getattr(_resolve(module, expr.value), expr.attr, None)
+    return None
+
+
+def test_raised_classes_are_tonoseg_errors():
+    # Every class the package raises is a TonosegError, so one except
+    # clause catches every bad argument and input.  The one exception is
+    # the RuntimeError that marks a bug in the corpus reader (CLI exit 3).
+    allowed = {("formats", "_turn_line_error", "RuntimeError")}
+    untyped = []
+    for path in sorted((SRC / "tonoseg").glob("*.py")):
+        module = importlib.import_module(f"tonoseg.{path.stem}")
+        assert Path(module.__file__).resolve() == path.resolve()
+        for scope, expr in _raised(ast.parse(path.read_text()), None):
+            raised = _resolve(module, expr)
+            if isinstance(raised, type) and not issubclass(raised, TonosegError):
+                untyped.append((path.stem, scope, raised.__name__))
+    assert [u for u in untyped if u not in allowed] == []
+    assert sorted(set(untyped)) == sorted(allowed)

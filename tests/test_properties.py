@@ -4,7 +4,7 @@ chain rule.
 ``train`` must give the model text of the per-length reference tally.
 
 The decoder must equal the brute-force oracle (spans and bitwise score),
-and the table, ``conditional`` and the chain-rule scores must reproduce
+and every kind of stream must give a list's result or error; the table, ``conditional`` and the chain-rule scores must reproduce
 ``log_prob`` bitwise, on trained grammars and on hand-built ones whose
 contexts need not be closed under prefixes.  The scoring properties also
 draw zero smoothing, so unseen events score -inf; the decoder's keep
@@ -16,6 +16,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from tonoseg.core import (
 )
 from tonoseg.formats import save_model
 from tonoseg.grammar import PatternGrammar, TrainConfig, model_entropy, train
-from tonoseg.segment import brute_force_segment, segment_turn
+from tonoseg.segment import SegmentationError, brute_force_segment, segment_turn
 from helpers import TONES, model_entropy_per_position, random_corpus, train_per_length
 
 SCHEMES = (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
@@ -188,6 +189,44 @@ def test_decoder_equals_oracle_on_stored_tables(grammar, streams):
 def test_decoder_breaks_ties_like_oracle(grammar, stream):
     scheme = grammar.scheme
     assert segment_turn(grammar, stream, scheme) == brute_force_segment(grammar, stream, scheme)
+
+
+STREAM_KINDS = (
+    list,
+    tuple,
+    iter,
+    lambda elements: (e for e in elements),
+    lambda elements: np.array(elements, dtype=object),
+)
+
+
+def outcome(decode, grammar, stream):
+    try:
+        return decode(grammar, stream, grammar.scheme)
+    except SegmentationError as err:
+        return type(err), str(err)
+
+
+@PROPERTY
+@given(
+    grammars,
+    tone_streams(max_size=6),
+    st.booleans(),
+    st.just(()) | st.sampled_from((Marker.WORD_OPEN, ProminentTone.LOWER, "l", "x", 3, None)).map(lambda b: (b,)),
+    st.integers(0, 6),
+)
+def test_stream_kinds_decode_alike(grammar, stream, letters, bad, at):
+    # Tones or tone letters, with or without a non-tone at a random
+    # place: every kind of stream gives the list's result or error, the
+    # decoder the oracle's.
+    elements = [t.value if letters else t for t in stream]
+    elements[at:at] = bad
+    outcomes = [
+        outcome(decode, grammar, stream_of(elements))
+        for decode in (segment_turn, brute_force_segment)
+        for stream_of in STREAM_KINDS
+    ]
+    assert all(o == outcomes[0] for o in outcomes)
 
 
 @PROPERTY

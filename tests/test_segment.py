@@ -307,16 +307,18 @@ def test_non_tones_in_stream_raise(scheme):
     # later, and so an element that cannot be hashed.  The stream is
     # checked before any automaton entry or decoder row is filled, so a
     # refused call leaves the grammar's tables as they were.  Strings
-    # equal to a tone are that tone.
+    # equal to a tone are that tone.  An iterator or a generator is read
+    # once, so a bad element after a good one is still refused.
     g = trained(scheme, random.Random(38))
-    for bad in (Marker.WORD_OPEN, Marker.TURN_CLOSE, ProminentTone.LOWER, "l", 3, ["L"]):
+    for bad in (Marker.WORD_OPEN, Marker.TURN_CLOSE, ProminentTone.LOWER, "l", "x", 3, ["L"]):
         message = f"^stream element {re.escape(repr(bad))} is not a tone$"
-        for stream in ([bad, L], [H, L, bad], [H, L, T, H, bad]):
-            for decode in (segment_turn, brute_force_segment):
-                rows, entries = dict(g._rows), dict(g._entries)
-                with pytest.raises(SegmentationError, match=message):
-                    decode(g, stream, scheme)
-                assert g._rows == rows and g._entries == entries
+        for elements in ([bad, L], [H, bad, L], [H, L, bad], [H, L, T, H, bad]):
+            for stream_of in (list, iter, lambda e: (t for t in e)):
+                for decode in (segment_turn, brute_force_segment):
+                    rows, entries = dict(g._rows), dict(g._entries)
+                    with pytest.raises(SegmentationError, match=message):
+                        decode(g, stream_of(elements), scheme)
+                    assert g._rows == rows and g._entries == entries
     want = segment_turn(g, [H, L, T], scheme)
     assert segment_turn(g, ["H", "L", "T"], scheme) == want
     assert brute_force_segment(g, ["H", "L", "T"], scheme) == want
@@ -344,8 +346,8 @@ def test_empty_streams_of_any_kind():
     # An iterator or a generator shows that it is empty only when it is
     # read; every entry point reports it as an empty sequence does, and
     # segment_corpus collects it.  An array of tone letters is a stream
-    # like a list.  An empty sequence is still reported before a scheme
-    # that cannot segment.
+    # like a list.  An empty stream of any kind is reported before a
+    # scheme that cannot segment.
     g = trained(HIERARCHICAL, random.Random(39))
     empty = "^empty tone sequence$"
     for stream in (iter([]), (t for t in ()), [], (), np.array([], dtype=str)):
@@ -358,8 +360,9 @@ def test_empty_streams_of_any_kind():
     assert failures == [(1, "empty tone sequence"), (2, "empty tone sequence")]
     assert all(type(err) is SegmentationError for _, err in exc.value.failures)
     for decode in (segment_turn, brute_force_segment):
-        with pytest.raises(SegmentationError, match=empty):
-            decode(g, [], FLAT)
+        for stream in ([], iter([]), (t for t in ())):
+            with pytest.raises(SegmentationError, match=empty):
+                decode(g, stream, FLAT)
         want = decode(g, [H, L, T], HIERARCHICAL)
         assert decode(g, np.array(["H", "L", "T"]), HIERARCHICAL) == want
         assert decode(g, iter([H, L, T]), HIERARCHICAL) == want
