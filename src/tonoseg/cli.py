@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from .core import TonosegError, encode_corpus, get_scheme, scheme_ids
 from .evaluate import confusion, format_report_kv, format_report_table, metrics
@@ -129,13 +130,13 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+@lru_cache(maxsize=1)  # rebuilt only when the registered scheme ids change
+def _build_parser(schemes: tuple[str, ...]) -> _Parser:
     parser = _Parser(
         prog="tonoseg",
         description="Tone-sequence grammars and prosodic word boundary prediction.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    schemes = scheme_ids()  # read per parser, so schemes registered after import count
 
     def add_scheme(p):
         p.add_argument(
@@ -192,7 +193,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(scheme_ids())
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

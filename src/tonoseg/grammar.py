@@ -130,8 +130,10 @@ class PatternGrammar:
         # The automaton (see ``step``): its set of state keys, built on the first miss, and entries.
         self._closure: Container[int] | None = None
         self._entries: dict[int, tuple[int, float]] = {}
-        # The decoder's rows, start rows and end rows (see ``segment``), filled like the entries.
-        self._rows: dict[int, tuple] = {}
+        # The decoder's tables, one per symbol index (see ``segment``), filled like the entries.
+        self._rows: dict[int, dict[int, tuple]] = {}
+        # The decoder's constants for the scheme (see ``segment._layout``), made on first use.
+        self._layout: tuple | None = None
         # A bound on -ln P of one symbol (see ``_surprisal_bound``), computed on first use.
         self._surprisal: float | None = None
 

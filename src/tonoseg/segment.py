@@ -43,28 +43,30 @@ what ``brute_force_segment`` returns.  Near ties are rare: on the
 benchmark's workloads no extra was kept, and on twelve random turns of
 1,000 tones over two tones at most 10 were kept after any one tone.
 
-The decoder reads three kinds of table, each the chain of ``step``
-calls it stands for, computed on first use and kept on the grammar
-(``_rows``); ``size`` is the alphabet size and ``k`` the plain tone
-symbol's index:
+The decoder reads three kinds of row, each the chain of ``step`` calls
+it stands for, computed on first use and kept on the grammar in one
+dict per symbol index (``_rows``), keyed by merge key:
 
-- a start row, under ``~k``: the candidates of a turn whose first tone
-  is ``k``, one per prominence option, ``((turn open + word open) +
-  tone, 1, p, merge key)``;
-- a row, under ``key * size + k``: how a candidate of merge key ``key``
-  expands by tone ``k``.  One flat tuple: the continuation's merge key
-  and ln P; the word close's ln P; then per prominence option the new
-  word opener's ln P, the merge key after the tone and the tone's ln P;
-- an end row, under ``key * size +`` the word close's index: the ln P of
-  the word close and of the turn close, added to a final candidate's
-  score in that order.
+- a start row, under -1 in a tone's dict: the candidates of a turn that
+  opens with the tone, one per prominence option, ``((turn open + word
+  open) + tone, 1, p, merge key)``;
+- a row, under ``key`` in a tone's dict: how a candidate of merge key
+  ``key`` expands by the tone.  One flat tuple: the continuation's merge
+  key and ln P; the word close's ln P; then per prominence option the
+  new word opener's ln P, the merge key after the tone and the tone's
+  ln P;
+- an end row, under ``key`` in the word close's dict: the ln P of the
+  word close and of the turn close, added to a final candidate's score
+  in that order.
 
-The three key ranges never meet: start rows are negative, and a tone's
-index is never the word close's.  Like an automaton entry, a table is a
-pure function of the immutable counts, stored whole, so threads that race
-on it store equal tuples.  Its floats are the automaton's own, added in
-emission order.  Under ``W == 1`` its merge keys are the automaton
-entries' own ints, not copies.
+A tone's dict sits under its plain symbol's index, never the word
+close's, and no merge key is negative.  The loop fetches a tone's dict
+once per tone, does no key arithmetic, and tries a prominent opener only
+under a scheme that marks prominence.  A dict is made once, by
+``setdefault``; like an automaton entry, a row is a pure function of
+the immutable counts, stored whole, so racing threads store equal
+tuples.  Its floats are the automaton's own, added in emission order;
+under ``W == 1`` its merge keys are the automaton entries' own ints.
 
 Ties are broken deterministically: higher score first, then fewer
 words, then the lexicographically smallest boundary vector, then the
@@ -82,25 +84,23 @@ non-tone is refused before any automaton entry or table is filled.
 The result is built straight from the winner's two integers: the
 boundary bits as one binary string, from which ``str.find`` jumps from
 one word opening to the next, and one character of the prominence bits
-per word.  Every candidate of the DP tiles the stream, so the result is
-made by ``SegmentationResult._of``, which skips the checks of the public
-constructor.
+per word.  Every candidate of the DP tiles the stream, so the result
+and its spans are stored as built, without the public constructors.
 
 Each step shifts these integers, which copies them, so a step at tone
 n costs O(n / 30) machine words on top of its constant work and a turn
 costs O(n**2 / 30) in all.  The cost per tone is flat up to a few
 thousand tones (the longest turns the benchmark and the linearity test
 decode) and grows slowly beyond: under ``hierprom`` on a 2-CPU machine,
-about 3.5-3.8 µs per tone at 200 and 3200 tones, 4.6-4.7 at 12,800 and
-5.6-5.8 at 25,314 tones (in the benchmark's reference seconds, default
-``TrainConfig`` on 20,000 planted-cue words).
+about 3.0-3.4 µs per tone at 200 tones, 3.0-3.8 at 3,200, 3.7-4.1 at
+12,800 and 4.6-4.9 at 25,314 (in the benchmark's reference seconds,
+default ``TrainConfig`` on 20,000 planted-cue words).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, product
 from typing import Iterable, NamedTuple, Sequence
 
@@ -251,26 +251,25 @@ def brute_force_segment(
     return best
 
 
-@lru_cache(maxsize=None)
-def _layout(scheme: EncodingScheme) -> tuple:
-    """``segment_turn``'s per-scheme constants, computed once per scheme:
+def _layout(grammar: PatternGrammar) -> tuple:
+    """``segment_turn``'s constants for the grammar's scheme, kept on the grammar:
     the merge-key width ``W``, the word-close, turn-open and turn-close
-    indexes, the word-open index per prominence option, per option a new
-    word's offset in a row, and ``_tone``'s constants of each tone whose
-    symbols the scheme has."""
+    indexes, the word-open index per prominence option, whether a word can
+    be prominent, and ``_tone``'s constants of each tone the scheme has."""
+    scheme = grammar.scheme
     index = scheme.index
     options = _prominence_options(scheme)
     width = 2 if scheme.prominence == "tones" else 1  # a prominent word's tones are symbols of their own
     opens = tuple(index(scheme.word_open_symbol(p)) for p in options)
-    news = tuple((p, 3 + 3 * p) for p in range(len(options)))
     tones = {t: _tone(scheme, t) for t in Tone if all(scheme.tone_symbol(t, p) in scheme for p in options)}
     symbols = width, index(Marker.WORD_CLOSE), index(Marker.TURN_OPEN), index(Marker.TURN_CLOSE), opens
-    return symbols, news, tones
+    layout = grammar._layout = symbols, len(options) > 1, tones
+    return layout
 
 
 def _tone(scheme: EncodingScheme, tone: Tone) -> tuple:
-    """A tone's constants in ``segment_turn``: its row-key offset (the plain
-    tone symbol's index) and its symbol index per prominence option."""
+    """A tone's constants in ``segment_turn``: its table's index (the plain
+    tone symbol's) and its symbol index per prominence option."""
     tone = _as_tone(tone)  # the decoder's table lacks non-tones, so they raise here
     syms = tuple(scheme.index(scheme.tone_symbol(tone, p)) for p in _prominence_options(scheme))
     return syms[0], syms
@@ -282,9 +281,9 @@ def _merge_key(width: int, state: int, m: int) -> int:
     return state * 2 + m if width == 2 else state
 
 
-def _row(grammar: PatternGrammar, key: int, syms: tuple, symbols: tuple) -> tuple:
-    """Compute and store the row of merge key ``key`` and a tone whose
-    symbol index per prominence option is ``syms`` (see ``segment_turn``)."""
+def _row(grammar: PatternGrammar, table: dict, key: int, syms: tuple, symbols: tuple) -> tuple:
+    """Compute and store the row of merge key ``key`` in the ``table`` of a
+    tone whose symbol index per prominence option is ``syms``."""
     width, close, _, _, opens = symbols
     step = grammar.step
     state, m = divmod(key, width)
@@ -295,13 +294,13 @@ def _row(grammar: PatternGrammar, key: int, syms: tuple, symbols: tuple) -> tupl
         opened, open_lp = step(closed, word_open)
         target, lp = step(opened, a)
         row += open_lp, _merge_key(width, target, p), lp
-    row = grammar._rows[key * grammar._size + syms[0]] = tuple(row)
+    row = table[key] = tuple(row)
     return row
 
 
-def _start(grammar: PatternGrammar, syms: tuple, symbols: tuple) -> tuple:
-    """Compute and store the first tone's candidates, one per prominence
-    option, for a tone whose symbol index per option is ``syms``."""
+def _start(grammar: PatternGrammar, table: dict, syms: tuple, symbols: tuple) -> tuple:
+    """Compute and store in its ``table`` the candidates of a first tone, one
+    per prominence option, whose symbol index per option is ``syms``."""
     width, _, turn_open, _, opens = symbols
     step = grammar.step
     state, lp = step(0, turn_open)
@@ -310,22 +309,22 @@ def _start(grammar: PatternGrammar, syms: tuple, symbols: tuple) -> tuple:
         opened, lp1 = step(state, word_open)
         target, lp2 = step(opened, a)
         start.append((lp + lp1 + lp2, 1, p, _merge_key(width, target, p)))
-    start = grammar._rows[~syms[0]] = tuple(start)
+    start = table[-1] = tuple(start)
     return start
 
 
-def _end(grammar: PatternGrammar, key: int, symbols: tuple) -> tuple:
-    """Compute and store the end row of merge key ``key``: the ln P of the
-    word close and of the turn close after it."""
+def _end(grammar: PatternGrammar, table: dict, key: int, symbols: tuple) -> tuple:
+    """Compute and store in ``table`` the end row of merge key ``key``: the
+    ln P of the word close and of the turn close after it."""
     width, close, _, turn_close, _ = symbols
     closed, close_lp = grammar.step(key // width, close)
-    end = grammar._rows[key * grammar._size + close] = (close_lp, grammar.step(closed, turn_close)[1])
+    end = table[key] = (close_lp, grammar.step(closed, turn_close)[1])
     return end
 
 
 def _plan(scheme: EncodingScheme, tones: tuple, known: dict) -> list:
     try:  # each stream element's ``_tone`` constants, looked up once per turn
-        return [known[t] for t in tones]
+        return list(map(known.__getitem__, tones))
     except (KeyError, TypeError):  # then ``_tone`` raises at the first bad element
         return [_tone(scheme, t) for t in tones]
 
@@ -374,22 +373,25 @@ def segment_turn(
     without the tiling check of ``SegmentationResult(...)``.
     """
     tones = _read_stream(grammar, tones, scheme)
-    symbols, news, known = _layout(scheme)
+    symbols, prominent, known = grammar._layout or _layout(grammar)
     plan = _plan(scheme, tones, known)
     k, syms = plan[0]
-    rows, size, close = grammar._rows, grammar._size, symbols[1]
+    rows, close = grammar._rows, symbols[1]
     most = 3 * len(plan) + 3  # more than the symbols of the turn
     margin = 2 * most * math.ulp(most * grammar._surprisal_bound())
 
-    # candidates (see the module docstring); the first tone opens the first word
-    entries = rows.get(~k) or _start(grammar, syms, symbols)
+    # candidates (see the module docstring); the first tone opens the first word.
+    # A symbol's table is made once, by ``setdefault``, however many threads race.
+    table = rows.get(k) or rows.setdefault(k, {})
+    entries = table.get(-1) or _start(grammar, table, syms, symbols)
 
     for k, syms in islice(plan, 1, None):
+        table = rows.get(k) or rows.setdefault(k, {})
         merged: dict = {}  # key -> best candidate (settled by ``_extras`` on near ties)
-        near: dict = {}  # key -> other candidates within the margin (see ``_extras``)
+        near = None  # key -> other candidates within the margin (see ``_extras``), made when needed
         get = merged.get
         for score, bits, pbits, key in entries:
-            row = rows.get(key * size + k) or _row(grammar, key, syms, symbols)
+            row = table.get(key) or _row(grammar, table, key, syms, symbols)
             bits <<= 1
             # continue the current word
             s = score + row[1]
@@ -398,36 +400,46 @@ def segment_turn(
             if old is None or s > old[0] + margin:
                 merged[key] = (s, bits, pbits, key)
             elif s >= old[0] - margin:
-                near.setdefault(key, []).append((s, bits, pbits, key))
-            # or close it and open a new word
+                (near := near or {}).setdefault(key, []).append((s, bits, pbits, key))
+            # or close it and open a plain word
             score += row[2]
             bits |= 1
             pbits <<= 1
-            for p, i in news:
-                s = score + row[i] + row[i + 2]
-                key = row[i + 1]
+            s = score + row[3] + row[5]
+            key = row[4]
+            old = get(key)
+            if old is None or s > old[0] + margin:
+                merged[key] = (s, bits, pbits, key)
+            elif s >= old[0] - margin:
+                (near := near or {}).setdefault(key, []).append((s, bits, pbits, key))
+            if prominent:  # or a prominent word
+                s = score + row[6] + row[8]
+                key = row[7]
                 old = get(key)
                 if old is None or s > old[0] + margin:
-                    merged[key] = (s, bits, pbits | p, key)
+                    merged[key] = (s, bits, pbits | 1, key)
                 elif s >= old[0] - margin:
-                    near.setdefault(key, []).append((s, bits, pbits | p, key))
+                    (near := near or {}).setdefault(key, []).append((s, bits, pbits | 1, key))
         entries = _extras(merged, near, margin) if near else merged.values()
 
+    table = rows.get(close) or rows.setdefault(close, {})
     finals = []
     for score, bits, pbits, key in entries:
-        end = rows.get(key * size + close) or _end(grammar, key, symbols)
+        end = table.get(key) or _end(grammar, table, key, symbols)
         finals.append((-(score + end[0] + end[1]), bits.bit_count(), bits, pbits))
     total, words, bits, pbits = min(finals)
     # One char per tone, "1" where a word opens (always the first tone),
     # and a "1" after the last tone to end the last word.
     opens_at = f"{bits:b}1".find
-    spans = []
-    start = 0
-    for prominent in f"{pbits:0{words}b}":
+    spans, start = [], 0
+    for flag in f"{pbits:0{words}b}":
         end = opens_at("1", start + 1)
-        spans.append(WordSpan(start, end, prominent == "1"))
+        spans.append(tuple.__new__(WordSpan, (start, end, flag == "1")))  # no ``__new__`` frame
         start = end
-    return SegmentationResult._of(tuple(spans), -total)
+    result = object.__new__(SegmentationResult)  # every candidate tiles the stream: stored as built
+    object.__setattr__(result, "spans", tuple(spans))  # inline; reading ``__dict__`` would add a dict
+    object.__setattr__(result, "log_prob", -total)
+    return result
 
 
 def segment_corpus(

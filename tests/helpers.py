@@ -39,6 +39,12 @@ from tonoseg.synth import PlantedGrammar
 TONES = list(Tone)
 
 
+def copy_tables(rows: dict) -> dict:
+    """A snapshot of a grammar's decoder tables (``_rows``): each symbol's
+    dict is copied too, so a row stored later does not show in it."""
+    return {a: dict(table) for a, table in rows.items()}
+
+
 def word(letters: str, prominent: bool = False) -> ProsodicWord:
     return ProsodicWord(tuple(Tone(c) for c in letters), prominent)
 

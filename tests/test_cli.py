@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tonoseg import core
+from tonoseg import cli, core
 from tonoseg.cli import main
 
 PLANTED_SPEC = {
@@ -388,6 +388,25 @@ def test_usage_errors_exit_1(capsys):
     assert main(["bogus"]) == 1
     assert main(["train"]) == 1  # missing required arguments
     assert main(["train", "--scheme", "weird", "--corpus", "x", "--out", "y"]) == 1
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys):
+    # ``main`` builds its parser once per set of scheme ids and reuses it.
+    # A help or a usage error prints the same text with the same exit code
+    # from a fresh parser and from one reused after other calls.
+    cases = [
+        ["--help"], ["segment", "--help"], ["train", "--help"], [], ["bogus"], ["train"],
+        ["train", "--scheme", "weird", "--corpus", "x", "--out", "y"], ["eval", "--reference"],
+    ]
+    fresh = []
+    for argv in cases:
+        cli._build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert {code for code, _ in fresh} == {0, 1}
+    for _ in range(2):
+        for argv, want in reversed(list(zip(cases, fresh))):
+            assert (main(argv), capsys.readouterr()) == want, argv
+    assert cli._build_parser.cache_info().currsize == 1
 
 
 def test_help_exits_zero_and_documents_defaults(capsys):

@@ -29,7 +29,7 @@ from tonoseg.grammar import (
     train,
 )
 from tonoseg.segment import segment_turn
-from helpers import random_corpus
+from helpers import copy_tables, random_corpus
 
 MODEL_GOLDEN = Path(__file__).parent / "fixtures" / "model_golden.json"
 
@@ -323,7 +323,7 @@ def test_model_entropy_leaves_grammar_untouched():
     first = model_entropy(g, seqs)
     assert (g._entries, g._rows, g._closure) == ({}, {}, None)
     segment_turn(g, [sym for sym in seqs[0] if isinstance(sym, Tone)], HIERARCHICAL)
-    entries, rows, closure = dict(g._entries), dict(g._rows), g._closure
+    entries, rows, closure = dict(g._entries), copy_tables(g._rows), g._closure
     assert entries and rows and closure
     assert model_entropy(g, seqs) == first
     assert (g._entries, g._rows) == (entries, rows) and g._closure is closure

@@ -41,7 +41,7 @@ from tonoseg.segment import (
     spans_to_symbols,
 )
 from tonoseg.synth import PlantedGrammar, sample_corpus
-from helpers import TONES, random_corpus, random_planted
+from helpers import TONES, copy_tables, random_corpus, random_planted
 
 H, U, S, T, D, L = Tone.HIGHER, Tone.UPSTEP, Tone.SAME, Tone.TOP, Tone.DOWNSTEP, Tone.LOWER
 
@@ -315,7 +315,7 @@ def test_non_tones_in_stream_raise(scheme):
         for elements in ([bad, L], [H, bad, L], [H, L, bad], [H, L, T, H, bad]):
             for stream_of in (list, iter, lambda e: (t for t in e)):
                 for decode in (segment_turn, brute_force_segment):
-                    rows, entries = dict(g._rows), dict(g._entries)
+                    rows, entries = copy_tables(g._rows), dict(g._entries)
                     with pytest.raises(SegmentationError, match=message):
                         decode(g, stream_of(elements), scheme)
                     assert g._rows == rows and g._entries == entries
@@ -544,13 +544,14 @@ def test_table_states_are_context_keys():
 
 
 def _row_bits(rows):
-    """Rows with each float, also inside a start row's candidates, as its exact bits."""
+    """The decoder's tables, one dict per symbol index, with each float,
+    also inside a start row's candidates, as its exact bits."""
     def bits(x):
         if isinstance(x, float):
             return x.hex()
         return tuple(map(bits, x)) if isinstance(x, tuple) else x
 
-    return {k: bits(row) for k, row in rows.items()}
+    return {a: {k: bits(row) for k, row in table.items()} for a, table in rows.items()}
 
 
 def _decode_streams(rng, n=30, longest=25):
@@ -559,15 +560,17 @@ def _decode_streams(rng, n=30, longest=25):
 
 def test_rows_are_chains_of_steps():
     # Every stored table holds what the chain of step calls it stands for
-    # returns, bit for bit.  A merge key is ``state * W + m`` (W = 2 only
-    # when a prominent word's tones are symbols of their own, m then the
-    # current word's prominence).  Under ``~tone``, a start row holds the
-    # first tone's candidates; under ``key * size + tone``, a row holds
-    # the continuation's key and ln P, the word close's ln P, then per
-    # prominence option the opener's ln P, the new key and the tone's
-    # ln P; under ``key * size + word close``, an end row holds the ln P
-    # of the word close and the turn close.  The chains are re-stepped on
-    # a fresh copy of the grammar, so no table and no entry is shared.
+    # returns, bit for bit.  The tables are one dict per symbol index,
+    # keyed by merge key ``state * W + m`` (W = 2 only when a prominent
+    # word's tones are symbols of their own, m then the current word's
+    # prominence).  In a plain tone's dict, under -1, a start row holds
+    # the candidates of a turn that opens with the tone; under a merge key
+    # ``key``, a row holds the continuation's key and ln P, the word
+    # close's ln P, then per prominence option the opener's ln P, the new
+    # key and the tone's ln P.  In the word close's dict, an end row under
+    # ``key`` holds the ln P of the word close and the turn close.  The
+    # chains are re-stepped on a fresh copy of the grammar, so no table
+    # and no entry is shared.
     rng = random.Random(46)
     texts = [
         save_model(trained(scheme, rng, n_turns=16, depth=depth, min_count=min_count))
@@ -580,7 +583,7 @@ def test_rows_are_chains_of_steps():
         for stream in _decode_streams(rng):
             segment_turn(g, stream, scheme)
         fresh = load_model(text)
-        step, index, size = fresh.step, scheme.index, scheme.size
+        step, index = fresh.step, scheme.index
         options = (False, True) if scheme.prominence != "none" else (False,)
         width = 2 if scheme.prominence == "tones" else 1
         close, turn_open, turn_close = (index(s) for s in (Marker.WORD_CLOSE, Marker.TURN_OPEN, Marker.TURN_CLOSE))
@@ -594,34 +597,64 @@ def test_rows_are_chains_of_steps():
 
         own = {id(target) for target, _ in g._entries.values()}
         kinds = set()
-        for key, row in g._rows.items():
-            if key < 0:
-                kinds.add("start")
-                state, lp = step(0, turn_open)
-                chain = []
-                for p, a in enumerate(symbols(~key)):
-                    opened, lp1 = step(state, index(scheme.word_open_symbol(options[p])))
-                    target, lp2 = step(opened, a)
-                    chain.append((lp + lp1 + lp2, 1, p, merge_key(target, p)))
-            elif key % size == close:
-                kinds.add("end")
-                closed, lp = step(key // size // width, close)
-                chain = [lp, step(closed, turn_close)[1]]
-            else:
-                kinds.add("row")
-                state, m = divmod(key // size, width)
-                syms = symbols(key % size)
-                target, lp = step(state, syms[m])
-                closed, close_lp = step(state, close)
-                chain = [merge_key(target, m), lp, close_lp]
-                for p, a in enumerate(syms):
-                    opened, open_lp = step(closed, index(scheme.word_open_symbol(options[p])))
-                    target, lp = step(opened, a)
-                    chain += [open_lp, merge_key(target, p), lp]
-                if width == 1:  # the keys are the automaton entries' own ints, not copies
-                    assert all(id(k) in own for k in (row[0], *row[4::3]))
-            assert _row_bits({key: row}) == _row_bits({key: tuple(chain)})
+        for a, table in g._rows.items():
+            assert type(table) is dict and (a == close or a in by_plain)
+            for key, row in table.items():
+                if key == -1 and a != close:
+                    kinds.add("start")
+                    state, lp = step(0, turn_open)
+                    chain = []
+                    for p, sym in enumerate(symbols(a)):
+                        opened, lp1 = step(state, index(scheme.word_open_symbol(options[p])))
+                        target, lp2 = step(opened, sym)
+                        chain.append((lp + lp1 + lp2, 1, p, merge_key(target, p)))
+                elif a == close:
+                    kinds.add("end")
+                    assert key >= 0
+                    closed, lp = step(key // width, close)
+                    chain = [lp, step(closed, turn_close)[1]]
+                else:
+                    kinds.add("row")
+                    assert key >= 0
+                    state, m = divmod(key, width)
+                    syms = symbols(a)
+                    target, lp = step(state, syms[m])
+                    closed, close_lp = step(state, close)
+                    chain = [merge_key(target, m), lp, close_lp]
+                    for p, sym in enumerate(syms):
+                        opened, open_lp = step(closed, index(scheme.word_open_symbol(options[p])))
+                        target, lp = step(opened, sym)
+                        chain += [open_lp, merge_key(target, p), lp]
+                    if width == 1:  # the keys are the automaton entries' own ints, not copies
+                        assert all(id(k) in own for k in (row[0], *row[4::3]))
+                assert _row_bits({a: {key: row}}) == _row_bits({a: {key: tuple(chain)}})
         assert kinds == {"start", "row", "end"}
+
+
+@pytest.mark.parametrize("scheme", [HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES])
+def test_shortest_turns(scheme):
+    # Turns of one to three tones, on a fresh grammar and on one whose
+    # tables earlier turns filled.  A one-tone turn runs no loop step: it
+    # reads only its tone's start row and the end rows of its candidates.
+    rng = random.Random(49)
+    text = save_model(trained(scheme, rng, n_turns=16, depth=3))
+    warm = load_model(text)
+    for stream in _decode_streams(rng):
+        segment_turn(warm, stream, scheme)
+    close = scheme.index(Marker.WORD_CLOSE)
+    streams = [(t,) for t in TONES] + _decode_streams(rng, 12, 2) + [
+        tuple(rng.choice(TONES) for _ in range(n)) for n in (2, 2, 2, 3, 3, 3, 3, 3, 3)
+    ]
+    for stream in streams:
+        fresh = load_model(text)
+        got = segment_turn(fresh, stream, scheme)
+        check_result_shape(got, fresh, stream, scheme)
+        assert got == brute_force_segment(fresh, stream, scheme)
+        assert segment_turn(warm, stream, scheme) == got
+        if len(stream) == 1:
+            (start,) = fresh._rows[scheme.index(stream[0])].values()
+            assert set(fresh._rows) == {scheme.index(stream[0]), close}
+            assert set(fresh._rows[close]) == {key for *_, key in start}
 
 
 def test_rows_do_not_depend_on_decode_order():
@@ -667,6 +700,14 @@ def test_threads_share_one_fresh_grammar():
         sys.setswitchinterval(interval)
     for k, got in enumerate(results):
         assert got == want[10 * k:] + want[:10 * k]
+    # Each symbol's table was made once (``setdefault``), so no thread's
+    # rows went into a dict that another thread's replaced: the tables
+    # equal those of one thread that decodes every stream.
+    alone = load_model(text)
+    for s in streams:
+        segment_turn(alone, s, HIERARCHY_PROMINENCE)
+    assert _row_bits(fresh._rows) == _row_bits(alone._rows)
+    assert fresh._entries == alone._entries
 
 
 def test_grammar_pickles_after_decoding():
@@ -681,6 +722,7 @@ def test_grammar_pickles_after_decoding():
     for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert save_model(clone) == save_model(g)
         assert _row_bits(clone._rows) == _row_bits(g._rows)
+        assert not any(clone._rows[a] is table for a, table in g._rows.items())
         assert [segment_turn(clone, s, HIERARCHY_PROMINENCE) for s in streams] == want
     fresh = pickle.loads(pickle.dumps(load_model(save_model(g))))
     assert [segment_turn(fresh, s, HIERARCHY_PROMINENCE) for s in streams] == want
