@@ -353,16 +353,24 @@ def encode_turn(turn: Turn, scheme: EncodingScheme) -> list:
 
 def encode_corpus(corpus: Corpus, scheme: EncodingScheme) -> list:
     """One encoded sequence per turn, order preserved, equal to
-    ``encode_turn`` of each turn.  The memo goes by object identity: each
-    word object is encoded once per call, by ``encode_words``, and its
-    symbols are copied into every turn that holds it (``parse_corpus``
-    and ``sample_corpus`` share word objects between turns)."""
-    # A word's id -> its symbols between the turn markers.  The corpus
-    # keeps every word alive for the whole call, so an id is never reused.
+    ``encode_turn`` of each turn and each a list of its own.  The memos go
+    by object identity: each turn object is encoded once per call and
+    copied where it recurs (``parse_corpus`` gives equal lines one turn),
+    and each word object once, by ``encode_words``, its symbols copied
+    into every turn that holds it (``parse_corpus`` and ``sample_corpus``
+    share word objects between turns)."""
+    # A turn's or word's id -> its symbols (a word's between the turn
+    # markers).  The corpus keeps every turn and word alive for the whole
+    # call, so an id is never reused.
+    seqs: dict[int, list] = {}
     pieces: dict[int, list] = {}
     out = []
     for turn in corpus.turns:
-        seq = [Marker.TURN_OPEN]
+        seq = seqs.get(id(turn))
+        if seq is not None:
+            out.append(seq.copy())
+            continue
+        seq = seqs[id(turn)] = [Marker.TURN_OPEN]
         for word in turn.words:
             piece = pieces.get(id(word))
             if piece is None:

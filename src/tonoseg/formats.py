@@ -88,10 +88,12 @@ def parse_corpus(text: str) -> Corpus:
 
     A line after the header goes first to ``_read_turn_line``, the one
     turn-line parser, which splits it at ``)`` once and builds each
-    distinct piece's word once per call; words are frozen, so turns
-    share them.  Only a line it rejects is tested for a blank, a comment
-    or ``@`` metadata (a line it accepts starts with ``(`` or ``*(``);
-    for any other, ``_turn_line_error`` finds the error to raise."""
+    distinct piece's word once per call; words and turns are frozen, so
+    turns share words, and equal turn lines share one turn: each
+    distinct line the reader accepts is read once per call.  Only a line
+    it rejects is tested for a blank, a comment or ``@`` metadata (a
+    line it accepts starts with ``(`` or ``*(``); for any other,
+    ``_turn_line_error`` finds the error to raise."""
     numbered = enumerate(text.splitlines(), start=1)
     try:
         line_no, header = next(_drop_comments(numbered))
@@ -103,10 +105,12 @@ def parse_corpus(text: str) -> Corpus:
     turns = []
     metadata: dict = {}
     words: dict[str, ProsodicWord] = {}  # a word's piece of a line -> the word
+    read: dict[str, Turn] = {}  # an accepted turn line -> its turn
     for line_no, line in numbered:
-        turn = _read_turn_line(line, words)
+        turn = read.get(line) or _read_turn_line(line, words)
         if turn is not None:
             turns.append(turn)
+            read[line] = turn
             continue
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -354,10 +358,20 @@ _SPAN = re.compile(r"^(\d+)-(\d+)(\*?)$")
 
 
 def serialize_segmentation(results) -> str:
-    """One line per turn; each word as ``start-end``, ``*`` if prominent."""
+    """One line per turn; each word as ``start-end``, ``*`` if prominent.
+
+    Each distinct result object is formatted once per call
+    (``segment_corpus`` gives equal streams one shared result)."""
     out = []
+    # A result's id -> the result and its line.  The memo keeps each
+    # result alive for the whole call, so an id is never reused here.
+    lines: dict[int, tuple] = {}
     for r in results:
-        out.append(" ".join(f"{s.start}-{s.end}{'*' if s.prominent else ''}" for s in r.spans))
+        done = lines.get(id(r))
+        if done is None:
+            text = " ".join(f"{s.start}-{s.end}{'*' if s.prominent else ''}" for s in r.spans)
+            done = lines[id(r)] = r, text
+        out.append(done[1])
     return "\n".join(out) + "\n" if out else ""
 
 
@@ -365,14 +379,21 @@ def parse_segmentation(text: str) -> list[SegmentationResult]:
     """Inverse of ``serialize_segmentation``; scores are not stored in the
     file, so results carry NaN log-probabilities.
 
-    A line is split at whitespace once and read in one loop, which
-    parses each distinct span token once per call (spans are immutable,
-    so results share them) and tracks the tiling as it goes.  The first
-    bad token on a line is reported at its column; a line whose tokens
-    all parse but whose spans do not tile is reported at column 1."""
+    Each distinct line is read once per call, and equal lines share one
+    result (results are immutable).  A line is split at whitespace once
+    and read in one loop, which parses each distinct span token once per
+    call (spans are immutable, so results share them) and tracks the
+    tiling as it goes.  The first bad token on a line is reported at its
+    column; a line whose tokens all parse but whose spans do not tile is
+    reported at column 1."""
     results = []
     spans_of: dict[str, WordSpan] = {}  # a span token -> its span
+    read: dict[str, SegmentationResult] = {}  # a line read -> its result
     for line_no, line in _drop_comments(enumerate(text.splitlines(), start=1)):
+        result = read.get(line)
+        if result is not None:
+            results.append(result)
+            continue
         spans = []
         pos = 0  # the end of the spans so far, or -1 once they fail to tile
         for token in line.split():
@@ -393,7 +414,8 @@ def parse_segmentation(text: str) -> list[SegmentationResult]:
                 SegmentationResult(spans, math.nan)
             except TonosegError as err:
                 raise SegmentationFormatError(str(err), line_no, 1) from None
-        results.append(SegmentationResult._of(tuple(spans), math.nan))
+        result = read[line] = SegmentationResult._of(tuple(spans), math.nan)
+        results.append(result)
     return results
 
 

@@ -447,15 +447,28 @@ def segment_corpus(
     streams: Iterable[Iterable[Tone]],
     scheme: EncodingScheme,
 ) -> list[SegmentationResult]:
-    """Segment each turn's tone stream independently, order preserved.
+    """Segment each turn's tone stream independently, order preserved;
+    equal to ``segment_turn`` of each stream.
 
-    Collects per-turn failures and raises them together after the pass.
+    Each stream is read once, into a tuple, and each distinct tuple is
+    decoded once per call, so equal streams share one (immutable)
+    result.  Failures are not kept, and a stream with an unhashable
+    element goes straight to ``segment_turn``, which refuses it.
+    Per-turn failures are raised together after the pass.
     """
     results: list[SegmentationResult] = []
     failures: list = []
+    done: dict[tuple, SegmentationResult] = {}  # a stream read -> its result
     for i, stream in enumerate(streams):
         try:
-            results.append(segment_turn(grammar, stream, scheme))
+            tones = tuple(stream)
+            try:
+                result = done.get(tones)
+            except TypeError:  # an unhashable element
+                result = segment_turn(grammar, tones, scheme)
+            if result is None:
+                result = done[tones] = segment_turn(grammar, tones, scheme)
+            results.append(result)
         except TonosegError as err:
             failures.append((i, err))
     if failures:

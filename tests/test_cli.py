@@ -8,6 +8,10 @@ import pytest
 
 from tonoseg import cli, core
 from tonoseg.cli import main
+from tonoseg.evaluate import confusion, format_report_kv, metrics
+from tonoseg.formats import load_model, serialize_segmentation
+from tonoseg.segment import segment_turn
+from helpers import parse_corpus_per_token
 
 PLANTED_SPEC = {
     "word_lengths": {"1": 0.2, "2": 0.5, "3": 0.3},
@@ -442,3 +446,27 @@ def test_segment_output_marks_prominence(tmp_path):
     assert main(["train", "--scheme", "hierprom", "--corpus", str(corpus), "--out", str(model)]) == 0
     assert main(["segment", "--model", str(model), "--input", str(corpus), "--out", str(seg)]) == 0
     assert "*" in seg.read_text()
+
+
+def test_segment_and_eval_on_repeated_turns(tmp_path, spec_file):
+    # A held-out file of a few turn lines, each repeated many times, also
+    # after comment and metadata lines and with trailing whitespace: the
+    # commands, which read and decode each distinct line once, write what
+    # one segment_turn per turn gives.
+    corpus, model, _, _ = run_pipeline(tmp_path, spec_file)
+    turn_lines = [line for line in corpus.read_text().splitlines()[1:] if line.startswith(("(", "*("))]
+    lines = ["tonoseg-corpus v1"]
+    for i in range(600):
+        lines += ["# c", "@k v"][: i % 3] + [turn_lines[i % 7] + " " * (i % 2)]
+    held = tmp_path / "held.txt"
+    held.write_text("\n".join(lines) + "\n")
+    seg, report = tmp_path / "held_seg.txt", tmp_path / "held_report.txt"
+    assert main(["segment", "--model", str(model), "--input", str(held), "--out", str(seg)]) == 0
+    assert main(["eval", "--reference", str(held), "--predicted", str(seg), "--format", "kv", "--out", str(report)]) == 0
+
+    grammar = load_model(model.read_text())
+    reference = parse_corpus_per_token(held.read_text())
+    results = [segment_turn(grammar, turn.tone_stream(), grammar.scheme) for turn in reference.turns]
+    assert len(results) == 600
+    assert seg.read_text() == serialize_segmentation(results)
+    assert report.read_text() == format_report_kv(metrics(confusion(reference, results)))

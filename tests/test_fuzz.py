@@ -11,7 +11,9 @@ moved past their own subtree's rows.  The corpus
 parser, whose turn lines are read by one split at ``)``, and the
 segmentation reader agree with token-by-token reference parsers in
 ``helpers.py``: the same result, or the same error type, message, line
-and column.
+and column, also when lines recur (after metadata or comment lines, or
+with trailing whitespace); equal lines then give one shared turn or
+result, unequal lines never share one.
 Random corpora and segmentations survive a write and a read.
 ``decode_turn`` accepts exactly what ``encode_turn`` produces.
 The saved models are the pinned ones of ``fixtures/model_golden.json``
@@ -299,6 +301,55 @@ def test_parse_corpus_fast_path_keeps_errors(text):
 
 
 @st.composite
+def with_repeats(draw, documents, alphabet):
+    """A document, as given or mutated (``mutated_text``), with copies of
+    its lines after the first inserted after the first, some after a
+    metadata or comment line and some with trailing whitespace."""
+    lines = draw(st.sampled_from(documents) | mutated_text(documents, alphabet)).split("\n")
+    for _ in range(draw(st.integers(1, 6))):
+        copy = draw(st.sampled_from(lines[1:] or lines))
+        copy += draw(st.sampled_from(("", "", " ", "\t ") + tuple(SPACES)))
+        before = draw(st.sampled_from(((), (), ("@k v",), ("# c",), ("  # c",))))
+        at = draw(st.integers(1, len(lines)))
+        lines[at:at] = [*before, copy]
+    return "\n".join(lines)
+
+
+REPEATS = "tonoseg-corpus v1\n( T L ) *( H L )\n( U L )\n# c\n( T L ) *( H L )\n@k v\n( T L ) *( H L ) \n"
+
+
+def lines_read(text):
+    """A document's lines that are neither blank nor a comment, as every
+    reader here sees them."""
+    return [line for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+
+
+def assert_shared_alike_lines(lines, items):
+    """Equal lines give one object, unequal lines never share one."""
+    assert len(lines) == len(items)
+    for a, item_a in zip(lines, items):
+        for b, item_b in zip(lines, items):
+            assert (item_a is item_b) == (a == b)
+
+
+@FUZZ
+@given(
+    with_repeats(
+        [formats.CORPUS_HEADER + "\n" + doc for doc in TURN_DOCUMENTS] + CORPUS_DOCUMENTS + [REPEATS],
+        TURN_CHARACTERS,
+    )
+)
+def test_repeated_turn_lines_share_one_turn(text):
+    # parse_corpus reads each distinct turn line once; it still reads what
+    # the per-token reference reads, or raises its error.
+    outcome = corpus_outcome(parse_corpus, text)
+    assert outcome == corpus_outcome(parse_corpus_per_token, text)
+    if isinstance(outcome, Corpus):
+        turn_lines = [line for line in lines_read(text)[1:] if not line.strip().startswith("@")]
+        assert_shared_alike_lines(turn_lines, outcome.turns)
+
+
+@st.composite
 def segmentations(draw):
     results = []
     for n_tones in draw(st.lists(st.integers(1, 12), max_size=4)):
@@ -370,6 +421,17 @@ def test_parse_segmentation_fast_path_keeps_errors(text):
     assert segmentation_outcome(parse_segmentation, text) == segmentation_outcome(
         parse_segmentation_per_token, text
     )
+
+
+@FUZZ_FAST
+@given(with_repeats(SEGMENTATION_DOCUMENTS, SEGMENTATION_CHARACTERS))
+def test_repeated_segmentation_lines_share_one_result(text):
+    # parse_segmentation reads each distinct line once; it still reads what
+    # the per-token reference reads, or raises its error.
+    outcome = segmentation_outcome(parse_segmentation, text)
+    assert outcome == segmentation_outcome(parse_segmentation_per_token, text)
+    if isinstance(outcome, list):
+        assert_shared_alike_lines(lines_read(text), parse_segmentation(text))
 
 
 SPEC = (Path(__file__).parent.parent / "demos" / "planted_example.json").read_text()

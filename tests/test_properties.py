@@ -4,12 +4,14 @@ chain rule.
 ``train`` must give the model text of the per-length reference tally.
 
 The decoder must equal the brute-force oracle (spans and bitwise score),
-and every kind of stream must give a list's result or error; the table, ``conditional`` and the chain-rule scores must reproduce
-``log_prob`` bitwise, on trained grammars and on hand-built ones whose
-contexts need not be closed under prefixes.  The scoring properties also
-draw zero smoothing, so unseen events score -inf; the decoder's keep
-positive smoothing, which it requires.  Runs are derandomized so the
-suite repeats exactly.
+and every kind of stream must give a list's result or error;
+``segment_corpus``, which decodes each distinct stream once, must give
+what a loop of ``segment_turn`` gives.  The table, ``conditional`` and
+the chain-rule scores must reproduce ``log_prob`` bitwise, on trained
+grammars and on hand-built ones whose contexts need not be closed under
+prefixes.  The scoring properties also draw zero smoothing, so unseen
+events score -inf; the decoder's keep positive smoothing, which it
+requires.  Runs are derandomized so the suite repeats exactly.
 """
 
 import math
@@ -34,7 +36,13 @@ from tonoseg.core import (
 )
 from tonoseg.formats import save_model
 from tonoseg.grammar import PatternGrammar, TrainConfig, model_entropy, train
-from tonoseg.segment import SegmentationError, brute_force_segment, segment_turn
+from tonoseg.segment import (
+    SegmentCorpusError,
+    SegmentationError,
+    brute_force_segment,
+    segment_corpus,
+    segment_turn,
+)
 from helpers import TONES, copy_tables, model_entropy_per_position, random_corpus, train_per_length
 
 SCHEMES = (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
@@ -227,6 +235,60 @@ def test_stream_kinds_decode_alike(grammar, stream, letters, bad, at):
         for stream_of in STREAM_KINDS
     ]
     assert all(o == outcomes[0] for o in outcomes)
+
+
+def array_of(elements):
+    """A numpy array: of strings when every element is one, else of objects."""
+    if all(isinstance(e, str) for e in elements):
+        return np.array(elements)
+    return np.array(elements, dtype=object)
+
+
+# Elements that are not tones, two of them unhashable.
+STRAYS = (Marker.WORD_OPEN, ProminentTone.LOWER, "l", "x", 3, None, ["L"], {"L": 1})
+
+
+@st.composite
+def stream_batches(draw):
+    """Streams drawn with repeats from a few bases, each copy with every
+    tone as a ``Tone`` or as its letter, as a stream of any kind; in half
+    of the batches some copies hold a stray element."""
+    bases = draw(st.lists(tone_streams(min_size=0, max_size=5), min_size=1, max_size=3))
+    strays = draw(st.booleans())
+    batch = []
+    for _ in range(draw(st.integers(1, 8))):
+        elements = [t.value if draw(st.booleans()) else t for t in draw(st.sampled_from(bases))]
+        if strays and draw(st.integers(0, 2)) == 0:
+            elements.insert(draw(st.integers(0, len(elements))), draw(st.sampled_from(STRAYS)))
+        batch.append((elements, draw(st.sampled_from(STREAM_KINDS + (array_of,)))))
+    return batch
+
+
+@PROPERTY
+@given(grammars, stream_batches())
+def test_segment_corpus_equals_segment_turn_loop(grammar, batch):
+    # segment_corpus decodes each distinct stream once, yet gives what a
+    # loop of segment_turn gives: the same results, or the same failures
+    # (index, type, message), never a bare TypeError.
+    scheme = grammar.scheme
+    want, failures = [], []
+    for i, (elements, kind) in enumerate(batch):
+        try:
+            want.append(segment_turn(grammar, kind(elements), scheme))
+        except TonosegError as err:
+            failures.append((i, type(err), str(err)))
+    try:
+        got = segment_corpus(grammar, [kind(elements) for elements, kind in batch], scheme)
+    except SegmentCorpusError as err:
+        assert [(i, type(e), str(e)) for i, e in err.failures] == failures
+        return
+    assert not failures and got == want
+    # Streams that read to equal tuples share one result; a tone letter
+    # and its ``Tone`` are equal, so they make one key.
+    for (a, _), got_a in zip(batch, got):
+        for (b, _), got_b in zip(batch, got):
+            if a == b:
+                assert got_a is got_b
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import sys
+import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tonoseg import segment
 from tonoseg.core import (
     FLAT,
     HIERARCHICAL,
@@ -340,6 +342,36 @@ def test_segment_corpus_order_and_errors():
     assert str(exc.value) == (
         f"5 turn(s) failed: turn 0: {empty}; turn 1: {empty}; turn 2: {empty}; ... 2 more"
     )
+
+
+def test_segment_corpus_decodes_each_distinct_stream_once(monkeypatch):
+    # Streams that read to equal tuples are decoded once and share the
+    # result, whatever their kind and whether they hold tones or letters.
+    # A failure is not kept: every failing stream is decoded, and so is
+    # every stream with an unhashable element, which is refused as a non-tone.
+    g = trained(HIERARCHICAL, random.Random(37))
+    want = segment_turn(g, (H, L), HIERARCHICAL)
+    calls = []
+
+    def counted(grammar, tones, scheme):
+        calls.append(tones)
+        return segment_turn(grammar, tones, scheme)
+
+    monkeypatch.setattr(segment, "segment_turn", counted)
+    streams = [(H, L), ["H", "L"], iter([H, "L"]), np.array(["H", "L"]), (L, H), (H, L)]
+    results = segment_corpus(g, streams, HIERARCHICAL)
+    assert results[0] == want and all(r is results[0] for r in results[:4] + results[5:])
+    assert results[4] == segment_turn(g, (L, H), HIERARCHICAL) and len(calls) == 2
+    calls.clear()
+    with pytest.raises(SegmentCorpusError) as exc:
+        segment_corpus(g, [("x",), ("x",), (H, ["L"]), (H, ["L"]), (H, L)], HIERARCHICAL)
+    assert [(i, type(err), str(err)) for i, err in exc.value.failures] == [
+        (0, SegmentationError, "stream element 'x' is not a tone"),
+        (1, SegmentationError, "stream element 'x' is not a tone"),
+        (2, SegmentationError, "stream element ['L'] is not a tone"),
+        (3, SegmentationError, "stream element ['L'] is not a tone"),
+    ]
+    assert len(calls) == 5
 
 
 def test_empty_streams_of_any_kind():
@@ -708,6 +740,43 @@ def test_threads_share_one_fresh_grammar():
         segment_turn(alone, s, HIERARCHY_PROMINENCE)
     assert _row_bits(fresh._rows) == _row_bits(alone._rows)
     assert fresh._entries == alone._entries
+
+
+def test_racing_threads_make_one_table_per_symbol():
+    # Two threads that both find a symbol's table missing must still put
+    # their rows into one table.  The grammar's ``_rows`` is swapped for a
+    # dict whose ``get`` holds each thread's first miss of the first tone's
+    # table at a barrier, so both threads go on to make it at once.
+    rng = random.Random(48)
+    text = save_model(trained(HIERARCHY_PROMINENCE, rng, n_turns=20, depth=4))
+    streams = [(H, H, L), (H, S, T, H)]  # both open with H; H recurs after other histories
+    k = HIERARCHY_PROMINENCE.index(H)
+    own = []
+    for s in streams:
+        alone = load_model(text)
+        segment_turn(alone, s, HIERARCHY_PROMINENCE)
+        own.append(set(alone._rows[k]))
+    assert not own[0] <= own[1] and not own[1] <= own[0]  # each thread stores rows of its own
+
+    barrier = threading.Barrier(2)
+    held = set()
+
+    class RacingRows(dict):
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            if key == k and value is None and threading.get_ident() not in held:
+                held.add(threading.get_ident())
+                barrier.wait(timeout=10)
+            return value
+
+    g = load_model(text)
+    g._rows = RacingRows()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(segment_turn, g, s, HIERARCHY_PROMINENCE) for s in streams]
+        got = [f.result(timeout=60) for f in futures]
+    assert len(held) == 2
+    assert got == [segment_turn(load_model(text), s, HIERARCHY_PROMINENCE) for s in streams]
+    assert set(g._rows[k]) == own[0] | own[1]
 
 
 def test_grammar_pickles_after_decoding():
