@@ -1,6 +1,7 @@
 """Batch command line: encode, train, entropy report, segment, eval, synth.
 
-Exit codes: 0 success, 1 usage error, 2 bad input data, 3 internal
+Each command returns its output text; ``main`` alone writes it and picks
+the exit code: 0 success, 1 usage error, 2 bad input data, 3 internal
 error.  All randomness comes from explicit seeds, so identical
 invocations produce byte-identical outputs.
 """
@@ -25,14 +26,6 @@ from .formats import (
 from .grammar import TrainConfig, marginal_entropy, model_entropy, train
 from .segment import segment_corpus
 from .synth import PlantedGrammar, sample_corpus
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _read(path: str) -> str:
@@ -61,16 +54,14 @@ def _write(path: str | None, text: str):
             os.remove(tmp)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> str:
     scheme = get_scheme(args.scheme)
     corpus = parse_corpus(_read(args.corpus))
     config = TrainConfig(args.max_depth, args.min_count, args.smoothing)
-    grammar = train(encode_corpus(corpus, scheme), scheme, config)
-    _write(args.out, save_model(grammar))
-    return 0
+    return save_model(train(encode_corpus(corpus, scheme), scheme, config))
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> str:
     grammar = load_model(_read(args.model))
     corpus = parse_corpus(_read(args.corpus))
     sequences = encode_corpus(corpus, grammar.scheme)
@@ -78,7 +69,7 @@ def _cmd_entropy(args) -> int:
     h_plain, hn_plain = marginal_entropy(sequences, n)
     h_model, hn_model = model_entropy(grammar, sequences, n)
     if args.format == "kv":
-        text = (
+        return (
             f"scheme={grammar.scheme.scheme_id}\n"
             f"alphabet_size={n}\n"
             f"entropy_no_model={h_plain:.6f}\n"
@@ -86,57 +77,49 @@ def _cmd_entropy(args) -> int:
             f"norm_entropy_no_model={hn_plain:.6f}\n"
             f"norm_entropy_with_model={hn_model:.6f}\n"
         )
-    else:
-        text = (
-            f"scheme {grammar.scheme.scheme_id}, {n} categories\n"
-            f"              entropy   normalized\n"
-            f"  no model   {h_plain:8.3f}   {hn_plain:10.3f}\n"
-            f"  with model {h_model:8.3f}   {hn_model:10.3f}\n"
-        )
-    _write(args.out, text)
-    return 0
+    return (
+        f"scheme {grammar.scheme.scheme_id}, {n} categories\n"
+        f"              entropy   normalized\n"
+        f"  no model   {h_plain:8.3f}   {hn_plain:10.3f}\n"
+        f"  with model {h_model:8.3f}   {hn_model:10.3f}\n"
+    )
 
 
-def _cmd_segment(args) -> int:
+def _cmd_segment(args) -> str:
     grammar = load_model(_read(args.model))
     corpus = parse_corpus(_read(args.input))
-    streams = [turn.tone_stream() for turn in corpus.turns]
-    results = segment_corpus(grammar, streams, grammar.scheme)
-    _write(args.out, serialize_segmentation(results))
-    return 0
+    distinct = {id(turn): turn for turn in corpus.turns}  # parse_corpus gives equal lines one Turn
+    stream_of = {key: turn.tone_stream() for key, turn in distinct.items()}
+    streams = [stream_of[id(turn)] for turn in corpus.turns]
+    return serialize_segmentation(segment_corpus(grammar, streams, grammar.scheme))
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> str:
     reference = parse_corpus(_read(args.reference))
     predicted = parse_segmentation(_read(args.predicted))
     report = metrics(confusion(reference, predicted))
-    text = format_report_kv(report) if args.format == "kv" else format_report_table(report)
-    _write(args.out, text)
-    return 0
+    return format_report_kv(report) if args.format == "kv" else format_report_table(report)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> str:
     planted = PlantedGrammar.from_json(_read(args.spec))
-    corpus = sample_corpus(planted, args.words, args.seed)
-    _write(args.out, serialize_corpus(corpus))
-    return 0
+    return serialize_corpus(sample_corpus(planted, args.words, args.seed))
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> str:
     scheme = get_scheme(args.scheme)
     corpus = parse_corpus(_read(args.corpus))
     lines = [" ".join(str(s) for s in seq) for seq in encode_corpus(corpus, scheme)]
-    _write(args.out, "\n".join(lines) + "\n" if lines else "")
-    return 0
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 @lru_cache(maxsize=1)  # rebuilt only when the registered scheme ids change
-def _build_parser(schemes: tuple[str, ...]) -> _Parser:
-    parser = _Parser(
+def _build_parser(schemes: tuple[str, ...]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="tonoseg",
         description="Tone-sequence grammars and prosodic word boundary prediction.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scheme(p):
         p.add_argument(
@@ -196,16 +179,17 @@ def main(argv=None) -> int:
     parser = _build_parser(scheme_ids())
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
-        return args.func(args)
+        _write(args.out, args.func(args))
     except (TonosegError, OSError) as err:
         print(f"tonoseg: error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # a bug, not bad input
         print(f"tonoseg: internal error: {err!r}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -65,32 +65,38 @@ def confusion(reference: Corpus, predicted: Sequence[SegmentationResult]) -> Con
     last word's excluded): the reference's, summed from its word lengths,
     and the prediction's, read off its spans.  Their intersection holds
     the true positives, and the remaining slots of the turn are true
-    negatives, so no per-slot vectors are built.
+    negatives, so no per-slot vectors are built.  Each distinct pair of
+    turn and result objects is counted once per call, keyed by their
+    ``id``s: the corpus and a list of the results keep every object
+    alive for the call, so no ``id`` is reused.
     """
     if len(reference.turns) != len(predicted):
         raise EvaluationError(
             f"turn count mismatch: reference has {len(reference.turns)}, "
             f"prediction has {len(predicted)}"
         )
-    tp = fp = fn = tn = 0
-    for i, (turn, result) in enumerate(zip(reference.turns, predicted)):
-        n = turn.tone_count
-        if n != result.n_tones:
-            raise EvaluationError(
-                f"turn {i}: reference has {n} tones, prediction covers {result.n_tones}"
-            )
-        ref = set()
-        pos = 0
-        for word in turn.words[:-1]:
-            pos += len(word.tones)
-            ref.add(pos)
-        pred = {span.end for span in result.spans[:-1]}
-        both = len(ref & pred)
-        tp += both
-        fn += len(ref) - both
-        fp += len(pred) - both
-        tn += n - 1 - len(ref) - len(pred) + both
-    return ConfusionMatrix(tp, fp, fn, tn)
+    done: dict[tuple[int, int], tuple[int, int, int, int]] = {}  # object ids -> tp, fp, fn, tn
+    tallies = []
+    for i, (turn, result) in enumerate(zip(reference.turns, list(predicted))):
+        key = (id(turn), id(result))
+        tally = done.get(key)
+        if tally is None:
+            n = turn.tone_count
+            if n != result.n_tones:
+                raise EvaluationError(
+                    f"turn {i}: reference has {n} tones, prediction covers {result.n_tones}"
+                )
+            ref = set()
+            pos = 0
+            for word in turn.words[:-1]:
+                pos += len(word.tones)
+                ref.add(pos)
+            pred = {span.end for span in result.spans[:-1]}
+            both = len(ref & pred)
+            fp, fn = len(pred) - both, len(ref) - both
+            tally = done[key] = (both, fp, fn, n - 1 - both - fp - fn)
+        tallies.append(tally)
+    return ConfusionMatrix(*map(sum, zip(*tallies)))
 
 
 def metrics(matrix: ConfusionMatrix) -> EvalReport:

@@ -236,20 +236,29 @@ def test_max_depth_above_64_exit_2(tmp_path, capsys):
     assert "error: bad config values: max_depth must be in [0, 64], got 65" in capsys.readouterr().err
 
 
-def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, capsys):
-    corpus = tmp_path / "uniform.txt"
-    corpus.write_text(UNIFORM_CORPUS)
-    out = tmp_path / "encoded.txt"
+@pytest.mark.parametrize("command", ["train", "entropy", "segment", "eval", "synth", "encode"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, capsys, spec_file, command):
+    corpus, model, seg, _ = run_pipeline(tmp_path, spec_file)
+    inputs = {
+        "train": ["--corpus", str(corpus)],
+        "entropy": ["--model", str(model), "--corpus", str(corpus)],
+        "segment": ["--model", str(model), "--input", str(corpus)],
+        "eval": ["--reference", str(corpus), "--predicted", str(seg)],
+        "synth": ["--spec", str(spec_file), "--words", "50"],
+        "encode": ["--corpus", str(corpus)],
+    }
+    out = tmp_path / "out.txt"
     out.write_bytes(b"previous\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
 
     def fail(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", fail)
-    assert main(["encode", "--scheme", "flat", "--corpus", str(corpus), "--out", str(out)]) == 2
-    assert "disk full" in capsys.readouterr().err
+    assert main([command, *inputs[command], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "tonoseg: error: disk full\n"
     assert out.read_bytes() == b"previous\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["encoded.txt", "uniform.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_write_through_symlink_in_place(tmp_path):
@@ -394,6 +403,22 @@ def test_usage_errors_exit_1(capsys):
     assert main(["train", "--scheme", "weird", "--corpus", "x", "--out", "y"]) == 1
 
 
+def test_usage_error_prints_usage_then_error(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapped usage lines
+    assert main([]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "usage: tonoseg [-h] {train,entropy,segment,eval,synth,encode} ...\n"
+        "tonoseg: error: the following arguments are required: command\n",
+    )
+    assert main(["eval", "--reference"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "usage: tonoseg eval [-h] --reference REFERENCE --predicted PREDICTED [--format {table,kv}] [--out OUT]\n"
+        "tonoseg eval: error: argument --reference: expected one argument\n",
+    )
+
+
 def test_reused_parser_answers_as_a_fresh_one(capsys):
     # ``main`` builds its parser once per set of scheme ids and reuses it.
     # A help or a usage error prints the same text with the same exit code
@@ -446,6 +471,25 @@ def test_segment_output_marks_prominence(tmp_path):
     assert main(["train", "--scheme", "hierprom", "--corpus", str(corpus), "--out", str(model)]) == 0
     assert main(["segment", "--model", str(model), "--input", str(corpus), "--out", str(seg)]) == 0
     assert "*" in seg.read_text()
+
+
+def test_segment_reads_each_turn_object_once(tmp_path, monkeypatch, spec_file):
+    # parse_corpus gives equal turn lines one Turn, and segment reads the
+    # tone stream of each Turn once; its output is one segment_turn per turn.
+    corpus, model, _, _ = run_pipeline(tmp_path, spec_file)
+    turn_lines = [line for line in corpus.read_text().splitlines()[1:] if line.startswith(("(", "*("))]
+    held = tmp_path / "held.txt"
+    held.write_text("tonoseg-corpus v1\n" + "".join(turn_lines[i % 5] + "\n" for i in range(400)))
+    grammar = load_model(model.read_text())
+    turns = parse_corpus_per_token(held.read_text()).turns
+    want = serialize_segmentation([segment_turn(grammar, t.tone_stream(), grammar.scheme) for t in turns])
+    calls = []
+    tone_stream = core.Turn.tone_stream
+    monkeypatch.setattr(core.Turn, "tone_stream", lambda turn: calls.append(turn) or tone_stream(turn))
+    seg = tmp_path / "held_seg.txt"
+    assert main(["segment", "--model", str(model), "--input", str(held), "--out", str(seg)]) == 0
+    assert len(calls) == len(set(turn_lines[:5]))
+    assert seg.read_text() == want
 
 
 def test_segment_and_eval_on_repeated_turns(tmp_path, spec_file):

@@ -143,6 +143,50 @@ def test_confusion_equals_per_slot_reference(data):
     assert compare(confusion) == compare(confusion_per_slot)
 
 
+# up to three short turns, so that turns of one tone count are common
+short_words = st.builds(ProsodicWord, st.lists(st.sampled_from(TONES), min_size=1, max_size=2), st.booleans())
+turn_pools = st.builds(
+    Corpus, st.lists(st.builds(Turn, st.lists(short_words, min_size=1, max_size=3)), min_size=1, max_size=3)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_confusion_on_repeated_objects_equals_per_slot_reference(data):
+    # The CLI's parsers give equal lines one object, so pairs of turn and
+    # result objects repeat; some pair a turn with another turn's result.
+    pool = data.draw(turn_pools)
+    results = data.draw(predictions(pool).filter(bool))
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(pool.turns) - 1), st.integers(0, len(results) - 1)), max_size=12
+    ))
+    corpus = Corpus(tuple(pool.turns[a] for a, _ in picks))
+    predicted = [results[b] for _, b in picks]
+
+    def compare(count):
+        try:
+            return count(corpus, predicted)
+        except EvaluationError as err:
+            return str(err)
+
+    assert compare(confusion) == compare(confusion_per_slot)
+
+
+def test_confusion_on_shared_turn_and_result_objects():
+    # A repeated mismatching pair is refused at its first index; one result
+    # object paired with turns of one tone count is counted for each turn.
+    good, bad = turn("T", "D"), turn("TD", "H")
+    split = split_result(2)
+    corpus = Corpus((good, good, bad, good, bad))
+    with pytest.raises(EvaluationError, match="^turn 2: reference has 3 tones, prediction covers 2$"):
+        confusion(corpus, [split] * 5)
+    m = confusion(Corpus((good, good, good)), (split, one_word_result(2), split))
+    assert m == confusion_per_slot(Corpus((good,) * 3), [split, one_word_result(2), split])
+    assert (m.tp, m.fp, m.fn, m.tn) == (2, 0, 1, 0)
+    m = confusion(Corpus((good, turn("TD"), good)), [split] * 3)
+    assert (m.tp, m.fp, m.fn, m.tn) == (2, 1, 0, 0)
+
+
 # -- metrics -----------------------------------------------------------
 
 
