@@ -15,6 +15,12 @@ index ``a`` is ``key * base + a + 1``.  The chain-rule scorers roll
 the key of the last ``max_depth`` symbols along a sequence; the
 Viterbi decoder steps through the automaton of ``PatternGrammar.step``,
 whose states are context keys too.
+
+``train`` and ``model_entropy`` read each sequence once, into a tuple,
+and handle each distinct one once per call: corpora repeat whole turns.
+``train`` tallies a distinct sequence once with its number of
+occurrences; ``model_entropy`` keeps a recurring sequence's scores and
+still subtracts them one per position, in order.
 """
 
 from __future__ import annotations
@@ -365,6 +371,15 @@ class PatternGrammar:
         return total
 
 
+def _alphabet_error(seq: tuple, si: int, digits: dict, scheme: EncodingScheme) -> AlphabetError:
+    """The error for the first symbol of sequence ``si`` outside the alphabet.  Walking to it
+    raises ``TypeError`` at an unhashable symbol before it, as a lookup of that symbol would."""
+    pos, sym = next((pos, sym) for pos, sym in enumerate(seq) if sym not in digits)
+    return AlphabetError(
+        f"sequence {si}, position {pos}: symbol {sym!r} not in alphabet of scheme {scheme.scheme_id!r}"
+    )
+
+
 def train(
     sequences: Iterable[Sequence],
     scheme: EncodingScheme,
@@ -381,24 +396,41 @@ def train(
     row.  Contexts observed fewer than ``min_count`` times are removed.
     A context is never observed more often than its one-shorter suffix,
     so the retained set stays suffix-closed.
+
+    Each sequence is read once, into a tuple, and its symbols are
+    checked where it first occurs, so an error names the first sequence
+    that holds a symbol outside the alphabet.  Each distinct sequence is
+    then tallied once, in first-seen order, adding its number of
+    occurrences to each of its events: the counts, and the order of the
+    contexts, are those of tallying every position.
     """
     grammar = PatternGrammar(scheme, config or TrainConfig())
     digits, powers = grammar._digits, grammar._powers
     depth, size, base = grammar.config.max_depth, scheme.size, scheme.size + 1
     top = powers[depth]
-    events: dict[int, int] = {}  # the window's key extended by the successor -> count
+    alphabet = frozenset(digits)
+    seen: dict[tuple, int] = {}  # a sequence read -> its index in ``times``
+    times: list[int] = []  # each distinct sequence's number of occurrences
     for si, seq in enumerate(sequences):
+        seq = tuple(seq)
+        try:
+            k = seen.setdefault(seq, len(times))
+        except TypeError:  # an unhashable symbol: ``_alphabet_error`` raises there, or earlier
+            k = None
+        if k is None or (k == len(times) and not alphabet.issuperset(seq)):
+            raise _alphabet_error(seq, si, digits, scheme)
+        if k < len(times):
+            times[k] += 1
+        else:
+            times.append(1)
+    events: dict[int, int] = {}  # the window's key extended by the successor -> count
+    for seq, count in zip(seen, times):
         window = 0  # key of the last max_depth symbols
-        for pos, successor in enumerate(seq):
-            digit = digits.get(successor)
-            if digit is None:
-                raise AlphabetError(
-                    f"sequence {si}, position {pos}: symbol {successor!r} "
-                    f"not in alphabet of scheme {scheme.scheme_id!r}"
-                )
-            event = window * base + digit
-            events[event] = events.get(event, 0) + 1
+        for successor in seq:
+            event = window * base + digits[successor]
+            events[event] = events.get(event, 0) + count
             window = event % top
+    del seen
     # Rows by context length.  A suffix's row is often missing: a context
     # shorter than max_depth is a whole window only at a sequence start.
     rows: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
@@ -463,10 +495,14 @@ def model_entropy(
 
     A position's score depends only on its event: the key of the
     ``max_depth`` symbols before it, extended by its own symbol (as in
-    ``train``).  So each distinct event is scored once per call, where it
-    first occurs.  The scores are still subtracted one per position, in
-    order: the result is the float that summing ``log_prob`` position by
-    position gives.
+    ``train``).  Each sequence is read once, into a tuple.  Its first
+    occurrence is walked, and each distinct event is scored once per
+    call, where it first occurs; so an error names the first sequence,
+    and the position in it, where the walk of every position would stop.
+    Its second occurrence keeps its scores, one per position, and later
+    ones reuse them.  The scores are still subtracted one per position,
+    in order: the result is the float that summing ``log_prob`` position
+    by position gives.
     """
     if n_categories is None:
         n_categories = grammar.scheme.size
@@ -475,34 +511,62 @@ def model_entropy(
     digits, log_prob, base = grammar._digits, grammar._log_prob, grammar._size + 1
     top = grammar._powers[grammar.config.max_depth]
     memo: dict[int, float] = {}  # event -> ln P
+    seen: dict[tuple, int] = {}  # a sequence read -> its index in ``kept``
+    kept: list[list[float] | None] = []  # a distinct sequence's scores, from its second occurrence on
     total = 0.0
     positions = 0
     for si, seq in enumerate(sequences):
+        seq = tuple(seq)
+        try:
+            k = seen.setdefault(seq, len(kept))
+        except TypeError:  # an unhashable symbol: the first walk raises there, or earlier
+            k = len(kept)
         window = 0  # key of the last max_depth symbols
-        i = -1  # an empty sequence adds no positions
-        for i, sym in enumerate(seq):
-            digit = digits.get(sym)
-            if digit is None:
-                raise AlphabetError(
-                    f"sequence {si}, position {i}: symbol {sym!r} "
-                    f"not in alphabet of scheme {grammar.scheme.scheme_id!r}"
-                )
-            event = window * base + digit
-            lp = memo.get(event)
-            if lp is None:
-                # An event's first occurrence is its only miss, so the error names it.
-                lp = memo[event] = log_prob(window, digit - 1)
-                if lp == -math.inf:
-                    raise TonosegError(
-                        f"sequence {si}, position {i}: unseen transition with zero smoothing"
-                    )
-            total -= lp
-            window = event % top
-        positions += i + 1
+        if k == len(kept):
+            kept.append(None)
+            for sym in seq:
+                digit = digits.get(sym)
+                if digit is None:
+                    raise _alphabet_error(seq, si, digits, grammar.scheme)
+                event = window * base + digit
+                lp = memo.get(event)
+                if lp is None:
+                    # An event's first occurrence is its only miss, so the error names it.
+                    lp = memo[event] = log_prob(window, digit - 1)
+                    if lp == -math.inf:
+                        raise TonosegError(
+                            f"sequence {si}, position {_event_position(grammar, seq, event)}: "
+                            "unseen transition with zero smoothing"
+                        )
+                total -= lp
+                window = event % top
+        elif kept[k] is None:
+            scores = kept[k] = []
+            for sym in seq:  # every event was scored on the first walk
+                event = window * base + digits[sym]
+                lp = memo[event]
+                scores.append(lp)
+                total -= lp
+                window = event % top
+        else:
+            for lp in kept[k]:
+                total -= lp
+        positions += len(seq)
     if positions == 0:
         raise InvalidArgumentError("cannot measure entropy of an empty symbol stream")
     h = total / positions
     return h, h / math.log(n_categories)
+
+
+def _event_position(grammar: PatternGrammar, seq: tuple, event: int) -> int:
+    """Index of the first position of ``seq`` whose event is ``event``; every symbol up
+    to there is in the alphabet."""
+    digits, base, top = grammar._digits, grammar._size + 1, grammar._powers[-1]
+    pos, found = 0, digits[seq[0]]  # the first position's event: its window is empty
+    while found != event:
+        pos += 1
+        found = found % top * base + digits[seq[pos]]
+    return pos
 
 
 def normalized_entropy(h: float, n_categories: int) -> float:

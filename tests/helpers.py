@@ -165,6 +165,11 @@ def model_entropy_per_position(grammar: PatternGrammar, sequences) -> tuple[floa
     total, positions = 0.0, 0
     for si, seq in enumerate(sequences):
         for i, sym in enumerate(seq):
+            if grammar._digits.get(sym) is None:
+                raise AlphabetError(
+                    f"sequence {si}, position {i}: symbol {sym!r} "
+                    f"not in alphabet of scheme {grammar.scheme.scheme_id!r}"
+                )
             lp = grammar.log_prob(sym, seq[max(0, i - depth) : i])
             if lp == -math.inf:
                 raise TonosegError(f"sequence {si}, position {i}: unseen transition with zero smoothing")

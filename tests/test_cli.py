@@ -462,6 +462,41 @@ def test_python_m_tonoseg_runs_the_cli():
     assert run().returncode == 1
 
 
+def test_pipeline_bytes_do_not_depend_on_the_hash_seed(tmp_path, spec_file):
+    # str hashes change from process to process, so the per-call memos
+    # keyed by lines, tuples of symbols and events may reach an output
+    # only through their insertion order.  The corpora repeat whole turns.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    steps = [
+        ["synth", "--spec", str(spec_file), "--words", "3000", "--seed", "3", "--out", "train.txt"],
+        ["synth", "--spec", str(spec_file), "--words", "1000", "--seed", "4", "--out", "heldout.txt"],
+        ["train", "--scheme", "hier", "--corpus", "train.txt", "--out", "model.txt"],
+        ["entropy", "--model", "model.txt", "--corpus", "train.txt", "--format", "kv", "--out", "entropy.txt"],
+        ["segment", "--model", "model.txt", "--input", "heldout.txt", "--out", "seg.txt"],
+        ["eval", "--reference", "heldout.txt", "--predicted", "seg.txt", "--format", "kv", "--out", "eval.txt"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from tonoseg.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    outputs = []
+    for hash_seed in ("0", "1"):
+        work = tmp_path / f"hashseed{hash_seed}"
+        work.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(steps)], cwd=work, env=env, capture_output=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        files = {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+        outputs.append((done.stdout, done.stderr, files))
+    assert len(outputs[0][2]) == len(steps)  # one file per step
+    assert outputs[0] == outputs[1]
+
+
 def test_segment_output_marks_prominence(tmp_path):
     corpus = tmp_path / "c.txt"
     # prominent words dominate, so the decoder should mark some spans

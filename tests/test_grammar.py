@@ -131,6 +131,37 @@ def test_foreign_symbol_names_sequence_and_position():
             model_entropy(train(sequences[:2], TOY2, TrainConfig(depth, 1, 0.5)), sequences)
 
 
+def test_repeated_failing_sequence_is_named_at_its_first_occurrence():
+    # Sequences recur: the error names the first occurrence of the first
+    # failing one, and the failing position in it.
+    foreign = [list("AB"), list("ABXA"), list("AB"), list("ABXA")]
+    message = r"^sequence 1, position 2: symbol 'X' not in alphabet of scheme 'toy2'$"
+    with pytest.raises(AlphabetError, match=message):
+        train(foreign, TOY2, TrainConfig(2, 1, 0.5))
+    with pytest.raises(AlphabetError, match=message):
+        model_entropy(ab_grammar(smoothing=0.5), foreign)
+    # B never follows B in training; the second "ABBA" is not reached.
+    unseen = [list("ABAB")] * 2 + [list("ABBA")] * 2
+    with pytest.raises(TonosegError, match="^sequence 2, position 2: unseen transition with zero smoothing$"):
+        model_entropy(ab_grammar(), unseen)
+
+
+def test_unhashable_symbol_fails_in_sequence_order():
+    # An unhashable symbol raises TypeError where a lookup of it would:
+    # after an earlier sequence's, or an earlier position's, error.
+    for sequences, error, message in (
+        ([list("AX"), ["A", ["B"]]], AlphabetError, "^sequence 0, position 1: symbol 'X'"),
+        ([["A", "X", ["B"]]], AlphabetError, "^sequence 0, position 1: symbol 'X'"),
+        ([list("AB"), ["A", ["B"], "X"]], TypeError, r"^unhashable type: 'list'$"),
+    ):
+        with pytest.raises(error, match=message):
+            train(sequences, TOY2, TrainConfig(2, 1, 0.5))
+        with pytest.raises(error, match=message):
+            model_entropy(ab_grammar(smoothing=0.5), sequences)
+    with pytest.raises(TonosegError, match="^sequence 1, position 2: unseen transition with zero smoothing$"):
+        model_entropy(ab_grammar(), [list("AB"), ["A", "B", "B", ["B"]]])
+
+
 def test_depth_zero_is_unigram():
     g = train([AB_SEQUENCE], TOY2, TrainConfig(0, 1, 0.0))
     assert g.node_count == 1

@@ -1,7 +1,8 @@
 """Property tests of training, the decoder, the transition table and the
 chain rule.
 
-``train`` must give the model text of the per-length reference tally.
+``train`` must give the model text of the per-length reference tally,
+or its error, also on repeated sequences of every kind.
 
 The decoder must equal the brute-force oracle (spans and bitwise score),
 and every kind of stream must give a list's result or error;
@@ -16,10 +17,8 @@ requires.  Runs are derandomized so the suite repeats exactly.
 
 import math
 import random
-import re
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +48,7 @@ SCHEMES = (HIERARCHICAL, HIERARCHY_PROMINENCE, HIERARCHY_PROMINENCE_TONES)
 # Small smoothing makes splits of repeated tones score within rounding of each other.
 SMOOTHINGS = (0.01, 0.05, 0.1, 0.5, 1.0)
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+FOREIGN = ("?", Marker.PROM_WORD_OPEN, ProminentTone.TOP, Marker.WORD_OPEN)
 
 
 @st.composite
@@ -85,6 +85,75 @@ def test_train_equals_per_length_tally(case):
     scheme, config, sequences = case
     expected = save_model(train_per_length(sequences, scheme, config))
     assert save_model(train(sequences, scheme, config)) == expected
+
+
+def one_shot(sequences):
+    """The sequences as a generator, which can be read once."""
+    return (seq for seq in sequences)
+
+
+def result_or_error(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (TonosegError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def picked_with_repeats(draw, scheme, pool, min_size=0, max_bad=0):
+    """Sequences picked with repeats from ``pool`` and from up to ``max_bad``
+    copies of its members holding, at a random place, a symbol outside the
+    scheme or an unhashable one.  Each pick is a list, a tuple or, when
+    its symbols are single characters, a string of them."""
+    pool = [list(seq) for seq in pool] or [[]]
+    bad = [sym for sym in FOREIGN if sym not in scheme] + [[Tone.TOP]]
+    for _ in range(draw(st.integers(0, max_bad))):
+        seq = list(draw(st.sampled_from(pool)))
+        seq.insert(draw(st.integers(0, len(seq))), draw(st.sampled_from(bad)))
+        pool.append(seq)
+    picks = []
+    for j in draw(st.lists(st.integers(0, len(pool) - 1), min_size=min_size, max_size=12)):
+        seq = pool[j]
+        letters = all(isinstance(sym, str) and len(sym) == 1 for sym in seq)
+        picks.append(draw(st.sampled_from([list, tuple, "".join] if letters else [list, tuple]))(seq))
+    return picks
+
+
+@st.composite
+def repeated_training_sets(draw):
+    """``training_sets`` picked with repeats, up to two picks holding a
+    foreign or unhashable symbol, and the outer iterable's kind."""
+    scheme, config, sequences = draw(training_sets())
+    picks = draw(picked_with_repeats(scheme, sequences, max_bad=2))
+    return scheme, config, picks, draw(st.sampled_from([list, one_shot]))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(repeated_training_sets())
+@example((FLAT, TrainConfig(2, 1), ["TM", ["T", "?"], ("T", ["T"]), ["T", "?"]], one_shot))
+@example((FLAT, TrainConfig(2, 1), ["TM", ("T", "?", ["T"]), ("T", ["T"], "?")], list))
+def test_train_on_repeats_equals_per_length_tally(case):
+    # train tallies each distinct sequence once, with its multiplicity; the
+    # reference tallies every position.  Both give the same model text, or
+    # the same error for the first failing sequence, from sequences of
+    # every kind, some repeated with a foreign or unhashable symbol.
+    scheme, config, picks, outer = case
+    want = result_or_error(lambda: save_model(train_per_length(picks, scheme, config)))
+    assert result_or_error(lambda: save_model(train(outer(picks), scheme, config))) == want
+
+
+@PROPERTY
+@given(training_sets(), st.integers(2, 4))
+def test_train_on_copies_multiplies_counts(case, k):
+    # At min_count 1 nothing is pruned, so k copies of a corpus give each
+    # context k times its counts, in the same order.
+    scheme, config, sequences = case
+    config = TrainConfig(config.max_depth, 1, config.smoothing)
+    once = list(train(sequences, scheme, config).iter_counts())
+    copies = train(sequences * k, scheme, config)
+    assert list(copies.iter_counts()) == [(c, {s: k * n for s, n in counts.items()}) for c, counts in once]
+    assert copies.total_symbols == k * sum(map(len, sequences))
 
 
 @st.composite
@@ -315,15 +384,11 @@ def test_table_scores_equal_log_prob(grammar, data):
     assert total == grammar.sequence_log_probability(seq)
 
 
-def assert_entropy_equals_per_position_sum(grammar, seqs):
-    """Equal floats, bitwise, or the same error (type and message)."""
-    try:
-        expected = model_entropy_per_position(grammar, seqs)
-    except TonosegError as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            model_entropy(grammar, seqs)
-    else:
-        assert [x.hex() for x in model_entropy(grammar, seqs)] == [x.hex() for x in expected]
+def assert_entropy_equals_per_position_sum(grammar, seqs, outer=list):
+    """Equal floats, bitwise, or the same error (type and message).
+    ``model_entropy`` reads the sequences through ``outer``."""
+    want = result_or_error(lambda: [x.hex() for x in model_entropy_per_position(grammar, seqs)])
+    assert result_or_error(lambda: [x.hex() for x in model_entropy(grammar, outer(seqs))]) == want
 
 
 @PROPERTY
@@ -343,30 +408,46 @@ def test_chain_scores_equal_log_prob(grammar, data):
 
 
 @st.composite
-def entropy_cases(draw):
-    """A grammar trained at depth 0-8, with or without smoothing, and
-    sequences to score: training sequences and new ones over the same
-    symbols, picked with repeats so that events recur across sequences."""
+def entropy_cases(draw, max_bad=0):
+    """A grammar trained at depth 0-8, with or without smoothing,
+    sequences to score and the outer iterable's kind: training sequences
+    and new ones over the same symbols (and up to ``max_bad`` copies
+    holding a foreign or unhashable symbol), picked with repeats so that
+    events and whole sequences recur."""
     scheme, config, sequences = draw(training_sets())
     config = TrainConfig(config.max_depth, config.min_count, draw(st.sampled_from([0.0, 0.5])))
     grammar = train(sequences, scheme, config)
     symbols = sorted({sym for seq in sequences for sym in seq}, key=scheme.index) or scheme.alphabet[:2]
     new = st.lists(st.sampled_from(symbols), min_size=1, max_size=12)
     pool = sequences + draw(st.lists(new, min_size=1, max_size=3))
-    return grammar, [pool[j] for j in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))]
+    picks = draw(picked_with_repeats(scheme, pool, min_size=1, max_bad=max_bad))
+    return grammar, picks, draw(st.sampled_from([list, one_shot]))
 
 
 @settings(PROPERTY, max_examples=300)
 @given(entropy_cases())
-@example((train([TONES[:2] * 3], FLAT, TrainConfig(0, 1, 0.0)), [TONES[:2] * 3, TONES[1:2]] * 3))
-@example((train([TONES[:2] * 3], FLAT, TrainConfig(2, 1, 0.0)), [TONES[:2] * 2, TONES[:2] * 2 + TONES[:1]] * 2))
+@example((train([TONES[:2] * 3], FLAT, TrainConfig(0, 1, 0.0)), [TONES[:2] * 3, TONES[1:2]] * 3, list))
+@example(
+    (train([TONES[:2] * 3], FLAT, TrainConfig(2, 1, 0.0)), [TONES[:2] * 2, TONES[:2] * 2 + TONES[:1]] * 2, list)
+)
+@example((train([TONES[:2] * 3], FLAT, TrainConfig(1, 1, 0.0)), ["TM", "TMM", "TM", "TMM", "TMM"], one_shot))
 def test_model_entropy_equals_per_position_sum(case):
-    # model_entropy scores each distinct event once; the reference scores
-    # every position afresh.
+    # model_entropy scores each distinct event once and keeps the scores of
+    # a sequence that recurs; the reference scores every position afresh.
     assert_entropy_equals_per_position_sum(*case)
 
 
-FOREIGN = ("?", Marker.PROM_WORD_OPEN, ProminentTone.TOP, Marker.WORD_OPEN)
+@settings(PROPERTY, max_examples=300)
+@given(entropy_cases(max_bad=2))
+@example(
+    (train([TONES[:2]], FLAT, TrainConfig(1, 1, 0.0)), ["TM", ("T", "?"), ("T", ["T"]), ("T", "?")], one_shot)
+)
+@example((train([TONES[:2]], FLAT, TrainConfig(1, 1, 0.0)), ["TM", "TTM", ("T", ["T"])], list))
+def test_model_entropy_fails_where_per_position_sum_fails(case):
+    # The first sequence to fail, in input order, names the error: a
+    # foreign symbol, an unseen transition under zero smoothing or an
+    # unhashable symbol, also where a failing sequence recurs.
+    assert_entropy_equals_per_position_sum(*case)
 
 
 @PROPERTY
