@@ -26,6 +26,7 @@ still subtracts them one per position, in order.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -47,7 +48,8 @@ class TrainConfig:
     ``max_depth=0`` degenerates to a unigram model.  ``min_count`` is the
     number of observed (context, successor) events a context needs to be
     retained.  ``smoothing`` is the add-lambda constant applied to
-    successor counts at prediction time.
+    successor counts at prediction time.  They are stored as exact ``int``,
+    ``int`` and ``float``, so a saved model's config line reads back equal.
     """
 
     max_depth: int = 4
@@ -55,6 +57,12 @@ class TrainConfig:
     smoothing: float = 0.5
 
     def __post_init__(self):
+        for name, convert in (("max_depth", operator.index), ("min_count", operator.index), ("smoothing", float)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, convert(value))
+            except (TypeError, ValueError, OverflowError) as err:
+                raise InvalidArgumentError(f"bad {name} {value!r}: {err}") from None
         if not 0 <= self.max_depth <= MAX_DEPTH:
             raise InvalidArgumentError(f"max_depth must be in [0, {MAX_DEPTH}], got {self.max_depth}")
         if self.min_count < 1:
@@ -108,17 +116,18 @@ class PatternGrammar:
     write a node's ``counts`` or ``total``.  The Viterbi decoder scores
     through the grammar's context automaton (see ``step``), whose entries
     the grammar fills lazily, one (state, symbol) entry on first use, and
-    keeps across calls, beside the decoder's tables of entries (``_rows``,
-    see ``segment``).  ``log_prob``, ``conditional``, the
+    keeps across calls.  The decoder's tables (``_rows``, see ``segment``),
+    one dict per symbol index, are made with the grammar and filled with
+    rows of entries the same way.  ``log_prob``, ``conditional``, the
     chain rule (and so the brute-force oracle) and the entropy functions
     never touch them.
 
     Queries are safe from any number of threads without a lock.  An
-    automaton entry or a decoder table is a pure function of the counts
+    automaton entry or a decoder row is a pure function of the counts
     and its state is a context key, not a fill order, so threads that
-    build the prefix closure, an entry or a table at once build equal
+    build the prefix closure, an entry or a row at once build equal
     ones, and whichever is stored gives every thread the same states and
-    the same bitwise scores.
+    the same bitwise scores.  No thread makes or replaces a table.
     """
 
     def __init__(self, scheme: EncodingScheme, config: TrainConfig):
@@ -136,12 +145,10 @@ class PatternGrammar:
         # The automaton (see ``step``): its set of state keys, built on the first miss, and entries.
         self._closure: Container[int] | None = None
         self._entries: dict[int, tuple[int, float]] = {}
-        # The decoder's tables, one per symbol index (see ``segment``), filled like the entries.
-        self._rows: dict[int, dict[int, tuple]] = {}
-        # The decoder's constants for the scheme (see ``segment._layout``), made on first use.
+        # The decoder's tables, one per symbol index (see ``segment``), made here, filled like the entries.
+        self._rows: dict[int, dict[int, tuple]] = {a: {} for a in range(scheme.size)}
+        # The decoder's constants and its view of the tables (see ``segment._layout``), made on first use.
         self._layout: tuple | None = None
-        # A bound on -ln P of one symbol (see ``_surprisal_bound``), computed on first use.
-        self._surprisal: float | None = None
 
     # -- structure ----------------------------------------------------
 
@@ -266,14 +273,10 @@ class PatternGrammar:
     def _surprisal_bound(self) -> float:
         """An upper bound on -ln P of any one symbol under positive smoothing, with a
         slack of 1: every smoothed count is at least lambda and every smoothed total at
-        most the largest row total plus lambda * size.  Kept like the closure: a pure
-        function of the immutable counts."""
-        bound = self._surprisal
-        if bound is None:
-            lam = self.config.smoothing
-            top = max(node.total for node in self._nodes.values())
-            bound = self._surprisal = math.log(top + lam * self._size) - math.log(lam) + 1.0
-        return bound
+        most the largest row total plus lambda * size."""
+        lam = self.config.smoothing
+        top = max(node.total for node in self._nodes.values())
+        return math.log(top + lam * self._size) - math.log(lam) + 1.0
 
     def _window(self, context: Sequence) -> int:
         """Key of the context's last ``max_depth`` symbols, cut at the newest one outside the alphabet."""

@@ -45,7 +45,7 @@ benchmark's workloads no extra was kept, and on twelve random turns of
 
 The decoder reads three kinds of row, each the chain of ``step`` calls
 it stands for, computed on first use and kept on the grammar in one
-dict per symbol index (``_rows``), keyed by merge key:
+dict per symbol index (``_rows``, made with the grammar), keyed by merge key:
 
 - a start row, under -1 in a tone's dict: the candidates of a turn that
   opens with the tone, one per prominence option, ``((turn open + word
@@ -60,10 +60,10 @@ dict per symbol index (``_rows``), keyed by merge key:
   in that order.
 
 A tone's dict sits under its plain symbol's index, never the word
-close's, and no merge key is negative.  The loop fetches a tone's dict
-once per tone, does no key arithmetic, and tries a prominent opener only
-under a scheme that marks prominence.  A dict is made once, by
-``setdefault``; like an automaton entry, a row is a pure function of
+close's, and no merge key is negative.  A turn's plan holds each tone's
+dict, so no decode makes, looks up or replaces one.  The loop does no
+key arithmetic and tries a prominent opener only under a scheme that
+marks prominence.  Like an automaton entry, a row is a pure function of
 the immutable counts, stored whole, so racing threads store equal
 tuples.  Its floats are the automaton's own, added in emission order;
 under ``W == 1`` its merge keys are the automaton entries' own ints.
@@ -252,27 +252,27 @@ def brute_force_segment(
 
 
 def _layout(grammar: PatternGrammar) -> tuple:
-    """``segment_turn``'s constants for the grammar's scheme, kept on the grammar:
-    the merge-key width ``W``, the word-close, turn-open and turn-close
-    indexes, the word-open index per prominence option, whether a word can
-    be prominent, and ``_tone``'s constants of each tone the scheme has."""
-    scheme = grammar.scheme
+    """``segment_turn``'s constants, kept on the grammar (a pure function of
+    it, so racing threads may each store one): the merge-key width ``W``, the
+    word-close, turn-open and turn-close indexes and the word-open index per
+    prominence option; whether a word can be prominent; per tone the scheme
+    has, its table and ``_tone``'s indexes; the word close's table; and ``L``."""
+    scheme, rows = grammar.scheme, grammar._rows
     index = scheme.index
     options = _prominence_options(scheme)
     width = 2 if scheme.prominence == "tones" else 1  # a prominent word's tones are symbols of their own
     opens = tuple(index(scheme.word_open_symbol(p)) for p in options)
-    tones = {t: _tone(scheme, t) for t in Tone if all(scheme.tone_symbol(t, p) in scheme for p in options)}
+    # A tone's table is its plain symbol's.
+    tones = {t: (rows[index(t)], _tone(scheme, t)) for t in Tone if all(scheme.tone_symbol(t, p) in scheme for p in options)}
     symbols = width, index(Marker.WORD_CLOSE), index(Marker.TURN_OPEN), index(Marker.TURN_CLOSE), opens
-    layout = grammar._layout = symbols, len(options) > 1, tones
+    layout = grammar._layout = symbols, len(options) > 1, tones, rows[symbols[1]], grammar._surprisal_bound()
     return layout
 
 
 def _tone(scheme: EncodingScheme, tone: Tone) -> tuple:
-    """A tone's constants in ``segment_turn``: its table's index (the plain
-    tone symbol's) and its symbol index per prominence option."""
-    tone = _as_tone(tone)  # the decoder's table lacks non-tones, so they raise here
-    syms = tuple(scheme.index(scheme.tone_symbol(tone, p)) for p in _prominence_options(scheme))
-    return syms[0], syms
+    """A tone's symbol index per prominence option, the plain one first."""
+    tone = _as_tone(tone)  # the layout lacks non-tones, so they raise here
+    return tuple(scheme.index(scheme.tone_symbol(tone, p)) for p in _prominence_options(scheme))
 
 
 def _merge_key(width: int, state: int, m: int) -> int:
@@ -323,10 +323,10 @@ def _end(grammar: PatternGrammar, table: dict, key: int, symbols: tuple) -> tupl
 
 
 def _plan(scheme: EncodingScheme, tones: tuple, known: dict) -> list:
-    try:  # each stream element's ``_tone`` constants, looked up once per turn
+    try:  # each stream element's table and symbol indexes, looked up once per turn
         return list(map(known.__getitem__, tones))
     except (KeyError, TypeError):  # then ``_tone`` raises at the first bad element
-        return [_tone(scheme, t) for t in tones]
+        return [known[t] for t in tones if _tone(scheme, t)]
 
 
 def _rank(candidate: tuple) -> tuple:
@@ -373,20 +373,16 @@ def segment_turn(
     without the tiling check of ``SegmentationResult(...)``.
     """
     tones = _read_stream(grammar, tones, scheme)
-    symbols, prominent, known = grammar._layout or _layout(grammar)
+    symbols, prominent, known, ends, bound = grammar._layout or _layout(grammar)
     plan = _plan(scheme, tones, known)
-    k, syms = plan[0]
-    rows, close = grammar._rows, symbols[1]
+    table, syms = plan[0]
     most = 3 * len(plan) + 3  # more than the symbols of the turn
-    margin = 2 * most * math.ulp(most * grammar._surprisal_bound())
+    margin = 2 * most * math.ulp(most * bound)
 
     # candidates (see the module docstring); the first tone opens the first word.
-    # A symbol's table is made once, by ``setdefault``, however many threads race.
-    table = rows.get(k) or rows.setdefault(k, {})
     entries = table.get(-1) or _start(grammar, table, syms, symbols)
 
-    for k, syms in islice(plan, 1, None):
-        table = rows.get(k) or rows.setdefault(k, {})
+    for table, syms in islice(plan, 1, None):
         merged: dict = {}  # key -> best candidate (settled by ``_extras`` on near ties)
         near = None  # key -> other candidates within the margin (see ``_extras``), made when needed
         get = merged.get
@@ -422,10 +418,9 @@ def segment_turn(
                     (near := near or {}).setdefault(key, []).append((s, bits, pbits | 1, key))
         entries = _extras(merged, near, margin) if near else merged.values()
 
-    table = rows.get(close) or rows.setdefault(close, {})
     finals = []
     for score, bits, pbits, key in entries:
-        end = table.get(key) or _end(grammar, table, key, symbols)
+        end = ends.get(key) or _end(grammar, ends, key, symbols)
         finals.append((-(score + end[0] + end[1]), bits.bit_count(), bits, pbits))
     total, words, bits, pbits = min(finals)
     # One char per tone, "1" where a word opens (always the first tone),

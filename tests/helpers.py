@@ -39,6 +39,12 @@ from tonoseg.synth import PlantedGrammar
 TONES = list(Tone)
 
 
+def unfilled_tables(grammar: PatternGrammar) -> dict:
+    """The decoder tables (``_rows``) of a grammar that never decoded: those
+    of a new grammar of the same scheme and config, every one empty."""
+    return PatternGrammar(grammar.scheme, grammar.config)._rows
+
+
 def copy_tables(rows: dict) -> dict:
     """A snapshot of a grammar's decoder tables (``_rows``): each symbol's
     dict is copied too, so a row stored later does not show in it."""

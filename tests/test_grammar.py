@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tonoseg.core import (
     HIERARCHICAL,
@@ -18,7 +20,7 @@ from tonoseg.core import (
     encode_corpus,
     get_scheme,
 )
-from tonoseg.formats import parse_corpus, save_model
+from tonoseg.formats import load_model, parse_corpus, save_model
 from tonoseg.grammar import (
     MAX_DEPTH,
     PatternGrammar,
@@ -29,7 +31,7 @@ from tonoseg.grammar import (
     train,
 )
 from tonoseg.segment import segment_turn
-from helpers import copy_tables, random_corpus
+from helpers import copy_tables, random_corpus, unfilled_tables
 
 MODEL_GOLDEN = Path(__file__).parent / "fixtures" / "model_golden.json"
 
@@ -65,6 +67,49 @@ def test_train_config_depth_bound():
     assert TrainConfig(max_depth=MAX_DEPTH).max_depth == 64
     with pytest.raises(ValueError, match=r"^max_depth must be in \[0, 64\], got 65$"):
         TrainConfig(max_depth=65)
+
+
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, MAX_DEPTH + 3),
+    st.integers(),
+    st.booleans(),
+    st.integers(-3, MAX_DEPTH + 3).map(np.int64),
+    st.integers(-3, 9).map(np.int8),
+    st.floats(),
+    st.floats(-3, MAX_DEPTH + 3).map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(0.25)]),
+    st.text(max_size=5),
+    st.sampled_from(["2", "0.5", " 1.5 ", "1_0", "nan", "-inf", "1e999"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(CONFIG_VALUES, CONFIG_VALUES, CONFIG_VALUES)
+@example(4, 1.5, 0.5)
+@example(True, 2, 0.5)
+@example(4, 2, np.float64(0.5))
+@example(2.5, 2, 0.5)
+@example(4, 2, "0.5")
+@example(np.int64(3), np.int64(1), 1)
+def test_train_config_survives_save_and_load(max_depth, min_count, smoothing):
+    # A config that constructs stores exact ints and a float, so the model
+    # it trains saves and loads back with an equal config; any other value
+    # is refused at construction.  With plain ints and a plain float the
+    # config line is the values' own text, as it always was.
+    try:
+        config = TrainConfig(max_depth, min_count, smoothing)
+    except InvalidArgumentError:
+        return
+    assert tuple(map(type, (config.max_depth, config.min_count, config.smoothing))) == (int, int, float)
+    seqs = encode_corpus(random_corpus(random.Random(5), 2), HIERARCHICAL)
+    if not math.isfinite(config.smoothing * HIERARCHICAL.size):
+        with pytest.raises(TonosegError, match="too large for an alphabet"):
+            train(seqs, HIERARCHICAL, config)
+        return
+    text = save_model(train(seqs, HIERARCHICAL, config))
+    assert load_model(text).config == config
+    if (type(max_depth), type(min_count), type(smoothing)) == (int, int, float):
+        assert text.splitlines()[2] == f"config {max_depth} {min_count} {smoothing!r}"
 
 
 def test_ab_hand_tally():
@@ -352,10 +397,10 @@ def test_model_entropy_leaves_grammar_untouched():
     seqs = encode_corpus(random_corpus(random.Random(12), 20), HIERARCHICAL)
     g = train(seqs, HIERARCHICAL, TrainConfig(3, 2, 0.5))
     first = model_entropy(g, seqs)
-    assert (g._entries, g._rows, g._closure) == ({}, {}, None)
+    assert (g._entries, g._rows, g._closure) == ({}, unfilled_tables(g), None)
     segment_turn(g, [sym for sym in seqs[0] if isinstance(sym, Tone)], HIERARCHICAL)
     entries, rows, closure = dict(g._entries), copy_tables(g._rows), g._closure
-    assert entries and rows and closure
+    assert entries and any(rows.values()) and closure
     assert model_entropy(g, seqs) == first
     assert (g._entries, g._rows) == (entries, rows) and g._closure is closure
 

@@ -5,7 +5,6 @@ import pickle
 import random
 import re
 import sys
-import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +42,7 @@ from tonoseg.segment import (
     spans_to_symbols,
 )
 from tonoseg.synth import PlantedGrammar, sample_corpus
-from helpers import TONES, copy_tables, random_corpus, random_planted
+from helpers import TONES, copy_tables, random_corpus, random_planted, unfilled_tables
 
 H, U, S, T, D, L = Tone.HIGHER, Tone.UPSTEP, Tone.SAME, Tone.TOP, Tone.DOWNSTEP, Tone.LOWER
 
@@ -181,7 +180,7 @@ def test_oracle_does_not_use_the_automaton(scheme, monkeypatch):
     monkeypatch.setattr(PatternGrammar, "step", step)
     fresh = trained(scheme, random.Random(40))
     assert [brute_force_segment(fresh, s, scheme) for s in streams] == want
-    assert fresh._entries == {} and fresh._rows == {}
+    assert (fresh._entries, fresh._rows, fresh._closure) == ({}, unfilled_tables(fresh), None)
 
 
 def test_partition_property():
@@ -629,8 +628,9 @@ def test_rows_are_chains_of_steps():
 
         own = {id(target) for target, _ in g._entries.values()}
         kinds = set()
+        assert set(g._rows) == set(range(scheme.size))
         for a, table in g._rows.items():
-            assert type(table) is dict and (a == close or a in by_plain)
+            assert type(table) is dict and (not table or a == close or a in by_plain)
             for key, row in table.items():
                 if key == -1 and a != close:
                     kinds.add("start")
@@ -685,7 +685,7 @@ def test_shortest_turns(scheme):
         assert segment_turn(warm, stream, scheme) == got
         if len(stream) == 1:
             (start,) = fresh._rows[scheme.index(stream[0])].values()
-            assert set(fresh._rows) == {scheme.index(stream[0]), close}
+            assert {a for a, table in fresh._rows.items() if table} == {scheme.index(stream[0]), close}
             assert set(fresh._rows[close]) == {key for *_, key in start}
 
 
@@ -732,9 +732,9 @@ def test_threads_share_one_fresh_grammar():
         sys.setswitchinterval(interval)
     for k, got in enumerate(results):
         assert got == want[10 * k:] + want[:10 * k]
-    # Each symbol's table was made once (``setdefault``), so no thread's
-    # rows went into a dict that another thread's replaced: the tables
-    # equal those of one thread that decodes every stream.
+    # Each symbol's table is made with the grammar, so no thread's rows
+    # went into a dict that another thread's replaced: the tables equal
+    # those of one thread that decodes every stream.
     alone = load_model(text)
     for s in streams:
         segment_turn(alone, s, HIERARCHY_PROMINENCE)
@@ -742,41 +742,52 @@ def test_threads_share_one_fresh_grammar():
     assert fresh._entries == alone._entries
 
 
-def test_racing_threads_make_one_table_per_symbol():
-    # Two threads that both find a symbol's table missing must still put
-    # their rows into one table.  The grammar's ``_rows`` is swapped for a
-    # dict whose ``get`` holds each thread's first miss of the first tone's
-    # table at a barrier, so both threads go on to make it at once.
+def test_tables_are_made_with_the_grammar():
+    # The decoder's tables, one dict per symbol index, exist from the
+    # grammar's construction, and no decode makes, replaces or drops one:
+    # not a refused one, a first or a later one, four threads at once, nor
+    # one with a pickled or deep-copied grammar.  A copy decodes into
+    # tables of its own, so the original's rows stay as they were.
     rng = random.Random(48)
-    text = save_model(trained(HIERARCHY_PROMINENCE, rng, n_turns=20, depth=4))
-    streams = [(H, H, L), (H, S, T, H)]  # both open with H; H recurs after other histories
-    k = HIERARCHY_PROMINENCE.index(H)
-    own = []
-    for s in streams:
-        alone = load_model(text)
-        segment_turn(alone, s, HIERARCHY_PROMINENCE)
-        own.append(set(alone._rows[k]))
-    assert not own[0] <= own[1] and not own[1] <= own[0]  # each thread stores rows of its own
+    scheme = HIERARCHY_PROMINENCE
+    text = save_model(trained(scheme, rng, n_turns=20, depth=4))
+    close = scheme.index(Marker.WORD_CLOSE)
 
-    barrier = threading.Barrier(2)
-    held = set()
-
-    class RacingRows(dict):
-        def get(self, key, default=None):
-            value = super().get(key, default)
-            if key == k and value is None and threading.get_ident() not in held:
-                held.add(threading.get_ident())
-                barrier.wait(timeout=10)
-            return value
+    def tables(g):
+        return {a: id(table) for a, table in g._rows.items()}
 
     g = load_model(text)
-    g._rows = RacingRows()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(segment_turn, g, s, HIERARCHY_PROMINENCE) for s in streams]
-        got = [f.result(timeout=60) for f in futures]
-    assert len(held) == 2
-    assert got == [segment_turn(load_model(text), s, HIERARCHY_PROMINENCE) for s in streams]
-    assert set(g._rows[k]) == own[0] | own[1]
+    made = tables(g)
+    assert set(made) == set(range(scheme.size)) and g._rows == unfilled_tables(g)
+    with pytest.raises(SegmentationError):
+        segment_turn(g, [H, Marker.WORD_OPEN], scheme)
+    assert tables(g) == made and g._rows == unfilled_tables(g)
+    segment_turn(g, (H, S), scheme)
+    assert tables(g) == made
+    assert {a for a, table in g._rows.items() if table} == {scheme.index(H), scheme.index(S), close}
+    for stream in _decode_streams(rng):
+        segment_turn(g, stream, scheme)
+    assert tables(g) == made
+
+    streams = _decode_streams(rng)
+    threaded = load_model(text)
+    made_threaded = tables(threaded)
+
+    def decode_from(k):
+        return [segment_turn(threaded, s, scheme) for s in streams[k:] + streams[:k]]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert len(list(pool.map(decode_from, range(0, 28, 7), timeout=60))) == 4
+    assert tables(threaded) == made_threaded and any(threaded._rows.values())
+
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        own = tables(clone)
+        assert set(own) == set(made) and not set(own.values()) & set(made.values())
+        rows = copy_tables(g._rows)
+        for stream in streams:
+            segment_turn(clone, stream, scheme)
+        assert tables(clone) == own and tables(g) == made
+        assert g._rows == rows and copy_tables(clone._rows) != rows
 
 
 def test_grammar_pickles_after_decoding():
@@ -787,7 +798,7 @@ def test_grammar_pickles_after_decoding():
     g = trained(HIERARCHY_PROMINENCE, rng, n_turns=12, depth=4)
     streams = [tuple(rng.choice(TONES) for _ in range(rng.randint(1, 30))) for _ in range(20)]
     want = [segment_turn(g, s, HIERARCHY_PROMINENCE) for s in streams]
-    assert g._rows
+    assert any(g._rows.values())
     for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert save_model(clone) == save_model(g)
         assert _row_bits(clone._rows) == _row_bits(g._rows)
