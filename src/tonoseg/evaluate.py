@@ -55,7 +55,7 @@ class EvalReport:
     degenerate: bool = False
 
 
-def confusion(reference: Corpus, predicted: Sequence[SegmentationResult]) -> ConfusionMatrix:
+def confusion(reference: Corpus, predicted: Iterable[SegmentationResult]) -> ConfusionMatrix:
     """Compare predicted boundary slots against the reference corpus.
 
     Requires one prediction per turn, over the same number of tones.
@@ -67,9 +67,10 @@ def confusion(reference: Corpus, predicted: Sequence[SegmentationResult]) -> Con
     the true positives, and the remaining slots of the turn are true
     negatives, so no per-slot vectors are built.  Each distinct pair of
     turn and result objects is counted once per call, keyed by their
-    ``id``s: the corpus and a list of the results keep every object
-    alive for the call, so no ``id`` is reused.
+    ``id``s: the corpus and the list the results are read into, once,
+    keep every object alive for the call, so no ``id`` is reused.
     """
+    predicted = list(predicted)
     if len(reference.turns) != len(predicted):
         raise EvaluationError(
             f"turn count mismatch: reference has {len(reference.turns)}, "
@@ -77,7 +78,7 @@ def confusion(reference: Corpus, predicted: Sequence[SegmentationResult]) -> Con
         )
     done: dict[tuple[int, int], tuple[int, int, int, int]] = {}  # object ids -> tp, fp, fn, tn
     tallies = []
-    for i, (turn, result) in enumerate(zip(reference.turns, list(predicted))):
+    for i, (turn, result) in enumerate(zip(reference.turns, predicted)):
         key = (id(turn), id(result))
         tally = done.get(key)
         if tally is None:

@@ -207,23 +207,40 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 
 def save_model(grammar: PatternGrammar) -> str:
-    """Serialize a grammar with raw counts; smoothing applies on load."""
-    cfg = grammar.config
+    """Serialize a grammar with raw counts; smoothing applies on load.
+
+    Raises ``TonosegError`` for a scheme whose file ``load_model`` would
+    read back as another grammar, or not at all: a scheme id that is
+    empty or holds whitespace, a symbol token (``str`` of the symbol)
+    that is empty, holds whitespace, is ``.`` or starts with ``#``, or
+    a token shared by two symbols."""
+    scheme, cfg = grammar.scheme, grammar.config
+    if str(scheme.scheme_id).split() != [scheme.scheme_id]:
+        raise TonosegError(f"scheme id {scheme.scheme_id!r} cannot be written: it must be one token")
+    tokens = [str(s) for s in scheme.alphabet]
+    for i, token in enumerate(tokens):
+        if token.split() != [token] or token == "." or token.startswith("#"):
+            raise TonosegError(
+                f"symbol token {token!r} of scheme {scheme.scheme_id!r} cannot be written: "
+                "it must be one token, not '.' and not starting with '#'"
+            )
+        if token in tokens[:i]:
+            raise TonosegError(f"symbol token {token!r} of scheme {scheme.scheme_id!r} names two symbols")
     out = [
         MODEL_HEADER,
-        f"scheme {grammar.scheme.scheme_id}",
+        f"scheme {scheme.scheme_id}",
         f"config {cfg.max_depth} {cfg.min_count} {cfg.smoothing!r}",
     ]
     # A context's text is its oldest symbol's token, a space, then its
     # one-shorter suffix's text; the root's is empty and written ".".
-    # Deep contexts share a few count rows, so each distinct row's text
-    # is built once.
-    rows: dict[tuple, str] = {}
-    for text, counts in grammar._walk([f"{s!s} " for s in grammar.scheme.alphabet], ""):
-        key = tuple(counts)
-        row = rows.get(key)
+    # Contexts with equal counts share one counts list, so each list's
+    # text is built once, keyed by its id: the grammar keeps every list
+    # alive for the whole call, so an id is never reused here.
+    rows: dict[int, str] = {}
+    for text, counts in grammar._walk([f"{t} " for t in tokens], ""):
+        row = rows.get(id(counts))
         if row is None:
-            row = rows[key] = " ".join(map(str, counts))
+            row = rows[id(counts)] = " ".join(map(str, counts))
         out.append(f"{text or '. '}{row}")
     return "\n".join(out) + "\n"
 
@@ -242,8 +259,8 @@ def load_model(text: str, expected_scheme: str | None = None) -> PatternGrammar:
     reports the error with its line.  A file written in another
     suffix-closed order loads to the same grammar, only slower.
 
-    Rows with equal counts text share one node (one counts list), so
-    the grammar's counts must never be mutated.
+    Rows with equal counts text share one node (one counts list), as
+    equal rows do in every grammar (see ``grammar._Node``).
     """
     # The header lines come through ``lines``; the rows straight from ``numbered``.
     numbered = enumerate(text.splitlines(), start=1)

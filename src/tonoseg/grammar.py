@@ -74,9 +74,11 @@ class TrainConfig:
 class _Node:
     """One context's successor counts (a list in alphabet order) and their sum.
 
-    Nodes are shared: ``load_model`` stores one node under every context
-    whose row has the same counts text (its count tokens, single-spaced).
-    Nothing writes ``counts`` or ``total`` once a grammar is built.
+    Nodes are shared in every grammar: ``train`` and ``from_counts``
+    store one node under every context whose counts are equal, and
+    ``load_model`` under every context whose counts text is equal (the
+    same rows, in a file ``save_model`` wrote).  So nothing may write
+    ``counts`` or ``total``.
     """
 
     __slots__ = ("counts", "total")
@@ -111,9 +113,9 @@ class PatternGrammar:
     0) to its successor counts, a list in alphabet order.  A retained
     context's suffixes are retained.  Every score comes from ``_log_prob``.
 
-    The counts are immutable once trained or loaded: a loaded grammar
-    shares one node among the contexts of equal rows, so nothing may
-    write a node's ``counts`` or ``total``.  The Viterbi decoder scores
+    The counts are immutable: ``train``, ``from_counts`` and
+    ``load_model`` all store one node under every context of equal rows
+    (see ``_Node``).  The Viterbi decoder scores
     through the grammar's context automaton (see ``step``), whose entries
     the grammar fills lazily, one (state, symbol) entry on first use, and
     keeps across calls.  The decoder's tables (``_rows``, see ``segment``),
@@ -200,11 +202,13 @@ class PatternGrammar:
 
         Every non-root context's one-shorter suffix must already be
         present (suffix closure), so the root, if given, comes first;
-        violations raise ``TonosegError``.
+        violations raise ``TonosegError``.  Contexts with equal counts
+        share one node, whose count checks run where the row first occurs.
         """
         grammar = cls(scheme, config)
         digits, base = grammar._digits, scheme.size + 1
         grammar._nodes.clear()  # the items bring every node; the root is added below if not
+        shared: dict[tuple, _Node] = {}  # a row's counts -> its node
         for context, counts in items:
             key = 0
             for sym in context:
@@ -216,7 +220,12 @@ class PatternGrammar:
                 if sym not in digits:
                     raise AlphabetError(f"successor {sym!r} not in scheme alphabet")
             grammar._check_context(key, context)
-            grammar._nodes[key] = grammar._new_node([counts.get(s, 0) for s in scheme.alphabet], context)
+            row = [counts.get(s, 0) for s in scheme.alphabet]
+            same = tuple(row)
+            node = shared.get(same)
+            if node is None:
+                node = shared[same] = grammar._new_node(row, context)
+            grammar._nodes[key] = node
         grammar._nodes.setdefault(0, _Node([0] * scheme.size))
         return grammar
 
@@ -405,7 +414,8 @@ def train(
     that holds a symbol outside the alphabet.  Each distinct sequence is
     then tallied once, in first-seen order, adding its number of
     occurrences to each of its events: the counts, and the order of the
-    contexts, are those of tallying every position.
+    contexts, are those of tallying every position.  Retained contexts
+    with equal counts share one node.
     """
     grammar = PatternGrammar(scheme, config or TrainConfig())
     digits, powers = grammar._digits, grammar._powers
@@ -455,11 +465,16 @@ def train(
                 into[:] = map(add, into, row)
     min_count = grammar.config.min_count
     nodes = grammar._nodes
+    shared: dict[tuple, _Node] = {}  # a row's counts -> its node
     for tier in rows:
         for key, row in tier.items():
             total = sum(row)
             if total >= min_count or key == 0:
-                nodes[key] = _Node(row, total)
+                same = tuple(row)
+                node = shared.get(same)
+                if node is None:
+                    node = shared[same] = _Node(row, total)
+                nodes[key] = node
         tier.clear()  # so that the rows' dicts and the nodes' dict do not peak together
     return grammar
 

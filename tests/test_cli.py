@@ -382,6 +382,20 @@ def test_scheme_choices_follow_the_registry(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == toy
 
 
+def test_train_under_scheme_it_cannot_write_exit_2(tmp_path, monkeypatch, capsys):
+    # A row of the token "#x" would load back as a comment line.
+    monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))
+    core.register_scheme(core.EncodingScheme("toy-hash", ("#x",) + core.FLAT.alphabet))
+    corpus = tmp_path / "uniform.txt"
+    corpus.write_text(UNIFORM_CORPUS)
+    model = tmp_path / "model.txt"
+    assert main(["train", "--scheme", "toy-hash", "--corpus", str(corpus), "--out", str(model)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "tonoseg: error: symbol token '#x' of scheme 'toy-hash' cannot be written: "
+    )
+    assert not model.exists()
+
+
 def test_unknown_model_scheme_exit_2(tmp_path, capsys):
     corpus = tmp_path / "uniform.txt"
     corpus.write_text(UNIFORM_CORPUS)

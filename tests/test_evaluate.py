@@ -86,6 +86,15 @@ def test_confusion_mismatch_errors():
         confusion(corpus, [one_word_result(3)])
 
 
+def test_confusion_reads_a_one_shot_iterable():
+    rng = random.Random(43)
+    corpus = random_corpus(rng, 12)
+    predicted = baseline_segment([t.tone_stream() for t in corpus.turns], "random", 0.4, seed=3)
+    assert confusion(corpus, (r for r in predicted)) == confusion(corpus, predicted)
+    with pytest.raises(EvaluationError, match="^turn count mismatch: reference has 12, prediction has 11$"):
+        confusion(corpus, (r for r in predicted[1:]))
+
+
 def test_confusion_totals():
     rng = random.Random(42)
     for _ in range(10):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -464,6 +465,28 @@ def test_model_tokens_named_like_root_or_comment(monkeypatch):
             load_model(f"{head}{row}\n")
 
 
+def test_model_save_refuses_schemes_it_cannot_write_back(monkeypatch):
+    # Under "#x" the row "#x 0 1 0 0" would load as a comment line: the
+    # grammar would come back with 2 nodes, not 3, and score otherwise.
+    monkeypatch.setattr(core, "_SCHEME_REGISTRY", dict(core._SCHEME_REGISTRY))
+    hashed = core.EncodingScheme("toy-hash", ("#x", "y", "[", "]"))
+    core.register_scheme(hashed)
+    g = train([["#x", "y"], ["y", "y"]], hashed, TrainConfig(1, 1))
+    with pytest.raises(core.TonosegError, match=r"^symbol token '#x' of scheme 'toy-hash' cannot be written: "):
+        save_model(g)
+    for scheme_id, alphabet, message in (
+        ("", ("a", "b"), "scheme id '' cannot be written"),
+        ("toy space", ("a", "b"), "scheme id 'toy space' cannot be written"),
+        ("toy", ("a b", "c"), "symbol token 'a b' of scheme 'toy' cannot be written"),
+        ("toy", ("a", "c\xa0d"), r"symbol token 'c\xa0d' of scheme 'toy' cannot be written"),
+        ("toy", ("a", "."), "symbol token '.' of scheme 'toy' cannot be written"),
+        ("toy", ("", "b"), "symbol token '' of scheme 'toy' cannot be written"),
+        ("toy", (1, "1", "b"), "symbol token '1' of scheme 'toy' names two symbols"),
+    ):
+        with pytest.raises(core.TonosegError, match="^" + re.escape(message)):
+            save_model(PatternGrammar(core.EncodingScheme(scheme_id, alphabet), TrainConfig(1, 1)))
+
+
 def test_model_first_fault_in_line_order():
     # A negative count on an early row and an unknown token on a later one:
     # the row read first is reported.
@@ -497,21 +520,27 @@ def deep_model():
 
 
 def test_model_equal_rows_share_one_node(deep_model):
-    g = load_model(deep_model)
-    size = g.scheme.size
+    # Loaded, trained or rebuilt from counts, a grammar holds one node per
+    # distinct row, and no query, decode or save writes one.
+    loaded = load_model(deep_model)
+    training = encode_corpus(sample_corpus(DEEP, 500, seed=7), HIERARCHICAL)
+    trained = train(training, HIERARCHICAL, TrainConfig(8, 1, 0.5))
+    rebuilt = PatternGrammar.from_counts(trained.scheme, trained.config, trained.iter_counts())
+    size = HIERARCHICAL.size
     rows = {tuple(line.split()[-size:]) for line in deep_model.splitlines()[3:]}
-    assert len({id(node) for node in g._nodes.values()}) == len(rows) < g.node_count // 2
-    before = [(key, node.counts[:], node.total) for key, node in g._nodes.items()]
     heldout = sample_corpus(DEEP, 200, seed=8)
     sequences = encode_corpus(heldout, HIERARCHICAL)
-    for seq in sequences:
-        g.sequence_log_probability(seq)
-    model_entropy(g, sequences)
-    for t in heldout.turns[:20]:
-        segment_turn(g, t.tone_stream(), HIERARCHICAL)
-    list(g.iter_counts())
-    assert save_model(g) == deep_model
-    assert [(key, node.counts, node.total) for key, node in g._nodes.items()] == before
+    for g in (loaded, trained, rebuilt):
+        assert len({id(node) for node in g._nodes.values()}) == len(rows) < g.node_count // 2
+        before = [(key, node.counts[:], node.total) for key, node in g._nodes.items()]
+        for seq in sequences:
+            g.sequence_log_probability(seq)
+        model_entropy(g, sequences)
+        for t in heldout.turns[:20]:
+            segment_turn(g, t.tone_stream(), HIERARCHICAL)
+        list(g.iter_counts())
+        assert save_model(g) == deep_model
+        assert [(key, node.counts, node.total) for key, node in g._nodes.items()] == before
 
 
 def test_model_rows_out_of_depth_first_order(deep_model):

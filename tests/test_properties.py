@@ -84,7 +84,10 @@ def training_sets(draw):
 def test_train_equals_per_length_tally(case):
     scheme, config, sequences = case
     expected = save_model(train_per_length(sequences, scheme, config))
-    assert save_model(train(sequences, scheme, config)) == expected
+    g = train(sequences, scheme, config)
+    assert save_model(g) == expected
+    # One node per distinct count row.
+    assert len({id(n) for n in g._nodes.values()}) == len({tuple(n.counts) for n in g._nodes.values()})
 
 
 def one_shot(sequences):
