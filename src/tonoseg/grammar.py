@@ -202,7 +202,9 @@ class PatternGrammar:
 
         Every non-root context's one-shorter suffix must already be
         present (suffix closure), so the root, if given, comes first;
-        violations raise ``TonosegError``.  Contexts with equal counts
+        violations raise ``TonosegError``.  Each count is read with
+        ``operator.index``, so a bool or numpy int becomes an int and any
+        other value raises ``TonosegError``.  Contexts with equal counts
         share one node, whose count checks run where the row first occurs.
         """
         grammar = cls(scheme, config)
@@ -220,7 +222,15 @@ class PatternGrammar:
                 if sym not in digits:
                     raise AlphabetError(f"successor {sym!r} not in scheme alphabet")
             grammar._check_context(key, context)
-            row = [counts.get(s, 0) for s in scheme.alphabet]
+            row = []
+            for sym in scheme.alphabet:
+                count = counts.get(sym, 0)
+                try:
+                    row.append(operator.index(count))
+                except TypeError:
+                    raise TonosegError(
+                        f"non-integer count {count!r} for {str(sym)!r} in context {context_text(context)!r}"
+                    ) from None
             same = tuple(row)
             node = shared.get(same)
             if node is None:

@@ -8,6 +8,11 @@ exact ground truth: ``planted_conditional`` computes the true
 next-symbol distribution for any prefix of an encoded turn, and
 ``sample_corpus`` is bit-reproducible from its seed (stdlib
 ``random.Random``, i.e. MT19937, consumed in a fixed documented order).
+
+The visible state of the planted process after a turn prefix is the
+number of closed words plus the open word's tones; ``_walk`` reads a
+prefix into that state, and ``_distribution`` is the state's exact
+next-symbol distribution.
 """
 
 from __future__ import annotations
@@ -215,111 +220,92 @@ def _dist_prob(dist, value) -> float:
     return 0.0
 
 
-class _PrefixWalker:
-    """Tracks the hidden generator state along an encoded-turn prefix.
+def _distribution(planted: PlantedGrammar, scheme: EncodingScheme, words, tones) -> dict:
+    """Exact next-symbol probabilities after ``[`` and ``words`` closed
+    words: between words when ``tones`` is None, else inside a word whose
+    tones so far are ``tones``.  ``words`` is None once ``]`` is read.
 
-    The visible symbols determine everything except the current word's
-    total length, over which a posterior is maintained: after k tones
-    with none of them closed off, weight(m) = P(len=m) * prod of tone
-    likelihoods (final for position m, interior elsewhere).
+    Between words, a turn closes with P(``words`` words | at least that
+    many).  Inside a word, only its total length m is hidden: after its
+    k tones, weight(m) = P(len=m) * the tones' likelihoods (final for
+    position m, interior elsewhere), over m >= k.
     """
-
-    def __init__(self, planted: PlantedGrammar, scheme: EncodingScheme):
-        if not scheme.word_markers or scheme.prominence not in ("none", "marker"):
-            raise TonosegError(
-                f"planted conditionals support word-marking schemes with marker "
-                f"prominence, not {scheme.scheme_id!r}"
-            )
-        self.planted = planted
-        self.scheme = scheme
-        self.phase = "start"  # start -> after_open | in_word | between | done
-        self.words_done = 0
-        self.word_tones: list[Tone] = []
-
-    def next_distribution(self) -> dict:
-        """Exact next-symbol probabilities given the consumed prefix."""
-        planted, scheme = self.planted, self.scheme
-        if self.phase == "start":
-            return {Marker.TURN_OPEN: 1.0}
-        if self.phase == "done":
-            raise UnreachableContextError("turn already closed")
-        out: dict = {}
-        if self.phase in ("after_open", "between"):
-            if self.phase == "after_open":
-                p_close = 0.0  # turns have at least one word
+    if words is None:
+        raise UnreachableContextError("turn already closed")
+    out: dict = {}
+    if tones is None:
+        at_least = sum(p for n, p in planted.turn_lengths if n >= words)
+        p_close = _dist_prob(planted.turn_lengths, words) / at_least
+        p_open = 1.0 - p_close
+        if p_close:
+            out[Marker.TURN_CLOSE] = p_close
+        if p_open:
+            if scheme.prominence == "marker":
+                if planted.prominence < 1.0:
+                    out[Marker.WORD_OPEN] = p_open * (1.0 - planted.prominence)
+                if planted.prominence > 0.0:
+                    out[Marker.PROM_WORD_OPEN] = p_open * planted.prominence
             else:
-                at_least = sum(p for n, p in planted.turn_lengths if n >= self.words_done)
-                exactly = _dist_prob(planted.turn_lengths, self.words_done)
-                if at_least <= 0:
-                    raise UnreachableContextError(
-                        f"no turn length allows {self.words_done} words"
-                    )
-                p_close = exactly / at_least
-            p_open = 1.0 - p_close
-            if p_close:
-                out[Marker.TURN_CLOSE] = p_close
-            if p_open:
-                if scheme.prominence == "marker":
-                    if planted.prominence < 1.0:
-                        out[Marker.WORD_OPEN] = p_open * (1.0 - planted.prominence)
-                    if planted.prominence > 0.0:
-                        out[Marker.PROM_WORD_OPEN] = p_open * planted.prominence
-                else:
-                    out[Marker.WORD_OPEN] = p_open
-            return out
-        # in_word: k tones consumed, next is a tone or the word close
-        k = len(self.word_tones)
-        w_close = 0.0
-        w_continue = {}  # remaining-length weights for m > k
-        for m, p_len in self.planted.word_lengths:
-            if m < k or p_len <= 0.0:
-                continue
-            like = p_len
-            for i, tone in enumerate(self.word_tones, start=1):
-                dist = planted.final_tones if i == m else planted.interior_tones
-                like *= _dist_prob(dist, tone)
-            if like <= 0.0:
-                continue
-            if m == k:
-                w_close = like
-            else:
-                w_continue[m] = like
-        z = w_close + sum(w_continue.values())
-        if z <= 0.0:
-            raise UnreachableContextError(f"tone sequence {self.word_tones!r} impossible")
-        if w_close:
-            out[Marker.WORD_CLOSE] = w_close / z
-        p_final_next = w_continue.get(k + 1, 0.0) / z
-        p_interior_next = sum(p for m, p in w_continue.items() if m > k + 1) / z
-        for tone, p in planted.final_tones:
-            if p_final_next * p > 0:
-                out[tone] = out.get(tone, 0.0) + p_final_next * p
-        for tone, p in planted.interior_tones:
-            if p_interior_next * p > 0:
-                out[tone] = out.get(tone, 0.0) + p_interior_next * p
+                out[Marker.WORD_OPEN] = p_open
         return out
-
-    def consume(self, symbol) -> float:
-        dist = self.next_distribution()
-        p = dist.get(symbol, 0.0)
-        if p <= 0.0:
-            raise UnreachableContextError(
-                f"symbol {symbol!r} has probability 0 after this prefix"
-            )
-        if symbol == Marker.TURN_OPEN:
-            self.phase = "after_open"
-        elif symbol in (Marker.WORD_OPEN, Marker.PROM_WORD_OPEN):
-            self.phase = "in_word"
-            self.word_tones = []
-        elif symbol == Marker.WORD_CLOSE:
-            self.phase = "between"
-            self.words_done += 1
-            self.word_tones = []
-        elif symbol == Marker.TURN_CLOSE:
-            self.phase = "done"
+    k = len(tones)
+    w_close = 0.0
+    w_continue = {}  # remaining-length weights for m > k
+    for m, p_len in planted.word_lengths:
+        if m < k or p_len <= 0.0:
+            continue
+        like = p_len
+        for i, tone in enumerate(tones, start=1):
+            dist = planted.final_tones if i == m else planted.interior_tones
+            like *= _dist_prob(dist, tone)
+        if like <= 0.0:
+            continue
+        if m == k:
+            w_close = like
         else:
-            self.word_tones.append(Tone(symbol))
-        return p
+            w_continue[m] = like
+    z = w_close + sum(w_continue.values())
+    if z <= 0.0:
+        raise UnreachableContextError(f"tone sequence {tones!r} impossible")
+    if w_close:
+        out[Marker.WORD_CLOSE] = w_close / z
+    p_final_next = w_continue.get(k + 1, 0.0) / z
+    p_interior_next = sum(p for m, p in w_continue.items() if m > k + 1) / z
+    for tone, p in planted.final_tones:
+        if p_final_next * p > 0:
+            out[tone] = out.get(tone, 0.0) + p_final_next * p
+    for tone, p in planted.interior_tones:
+        if p_interior_next * p > 0:
+            out[tone] = out.get(tone, 0.0) + p_interior_next * p
+    return out
+
+
+def _walk(planted: PlantedGrammar, context, scheme: EncodingScheme) -> tuple[list, int | None, list | None]:
+    """Read an encoded-turn prefix (any iterable, read once): each symbol's
+    probability, and the state it leaves for ``_distribution``."""
+    context = tuple(context)
+    if not context or context[0] != Marker.TURN_OPEN:
+        raise UnreachableContextError("context must be a turn prefix starting at turn-open")
+    if not scheme.word_markers or scheme.prominence not in ("none", "marker"):
+        raise TonosegError(
+            f"planted conditionals support word-marking schemes with marker "
+            f"prominence, not {scheme.scheme_id!r}"
+        )
+    probs, words, tones = [1.0], 0, None  # ``[`` opens every turn
+    for symbol in context[1:]:
+        p = _distribution(planted, scheme, words, tones).get(symbol, 0.0)
+        if p <= 0.0:
+            raise UnreachableContextError(f"symbol {symbol!r} has probability 0 after this prefix")
+        probs.append(p)
+        if symbol in (Marker.WORD_OPEN, Marker.PROM_WORD_OPEN):
+            tones = []
+        elif symbol == Marker.WORD_CLOSE:
+            words, tones = words + 1, None
+        elif symbol == Marker.TURN_CLOSE:
+            words = None
+        else:
+            tones.append(Tone(symbol))
+    return probs, words, tones
 
 
 def planted_conditional(
@@ -332,12 +318,8 @@ def planted_conditional(
     contexts are rejected as unreachable.  Returns probabilities over
     ``scheme.alphabet`` in order.
     """
-    if not context or context[0] != Marker.TURN_OPEN:
-        raise UnreachableContextError("context must be a turn prefix starting at turn-open")
-    walker = _PrefixWalker(planted, scheme)
-    for sym in context:
-        walker.consume(sym)
-    dist = walker.next_distribution()
+    _, words, tones = _walk(planted, context, scheme)
+    dist = _distribution(planted, scheme, words, tones)
     return tuple(dist.get(sym, 0.0) for sym in scheme.alphabet)
 
 
@@ -345,10 +327,4 @@ def prefix_probability(
     planted: PlantedGrammar, context, scheme: EncodingScheme = HIERARCHICAL
 ) -> float:
     """Probability that an encoded turn starts with this prefix."""
-    if not context or context[0] != Marker.TURN_OPEN:
-        raise UnreachableContextError("context must be a turn prefix starting at turn-open")
-    walker = _PrefixWalker(planted, scheme)
-    total = 1.0
-    for sym in context:
-        total *= walker.consume(sym)
-    return total
+    return math.prod(_walk(planted, context, scheme)[0])

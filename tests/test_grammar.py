@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tonoseg.core import (
+    FLAT,
     HIERARCHICAL,
     AlphabetError,
     EncodingScheme,
@@ -503,6 +504,19 @@ def test_from_counts_rejects_counts_past_float_range():
     # The largest total that still works.
     g = PatternGrammar.from_counts(TOY2, TrainConfig(1, 1, 0.5), [((), {"A": int(sys.float_info.max)})])
     assert g.log_prob("A", []) == 0.0
+
+
+def test_from_counts_reads_counts_as_ints():
+    # A count that is not an int used to be saved as written, e.g. 1.5 or
+    # True, in a row that load_model then refused.
+    config = TrainConfig(1, 1)
+    for count, text in ((1.5, "1.5"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(TonosegError, match=rf"^non-integer count {text} for 'T' in context '\.'$"):
+            PatternGrammar.from_counts(FLAT, config, [((), {Tone.TOP: count})])
+    g = PatternGrammar.from_counts(FLAT, config, [((), {Tone.TOP: True, Tone.MID: np.int64(2)})])
+    text = save_model(g)
+    assert ". 1 2 0 0 0 0 0 0 0 0\n" in text
+    assert list(load_model(text).iter_counts()) == list(g.iter_counts())
 
 
 def test_tiny_smoothing_scores_unseen_symbols():

@@ -23,7 +23,6 @@ from tonoseg.core import (
 from tonoseg.grammar import TrainConfig, train
 from tonoseg.synth import (
     PlantedGrammar,
-    _PrefixWalker,
     SpecError,
     UnreachableContextError,
     planted_conditional,
@@ -276,13 +275,38 @@ def test_unreachable_after_underflow():
         planted_conditional(tiny, (TO, WO, T, T))
 
 
-def test_turn_longer_than_every_turn_length():
-    # With distinct turn lengths no prefix gets here: after the longest turn
-    # the next word opens with probability 0.  So the state is set directly.
-    walker = _PrefixWalker(RICH, HIERARCHICAL)
-    walker.phase, walker.words_done = "between", 4
-    with pytest.raises(UnreachableContextError, match=r"^no turn length allows 4 words$"):
-        walker.next_distribution()
+def test_oracle_reads_any_iterable_once():
+    # An iterator or generator context used to raise a bare TypeError.
+    def forms(prefix):
+        return list(prefix), tuple(prefix), iter(prefix), (s for s in prefix)
+
+    for oracle in (planted_conditional, prefix_probability):
+        want = oracle(RICH, (TO, WO, H, L, WC))
+        assert all(oracle(RICH, ctx) == want for ctx in forms((TO, WO, H, L, WC)))
+        messages = set()
+        for ctx in forms((TO, WO, S, T)):
+            with pytest.raises(UnreachableContextError) as info:
+                oracle(RICH, ctx)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(planted_grammars(), st.sampled_from([HIERARCHICAL, HIERARCHY_PROMINENCE]), st.integers(0, 2**32))
+def test_prefix_probability_is_the_product_of_conditionals(planted, scheme, seed):
+    # Walk a turn drawn from the conditionals; each step's prefix
+    # probability is the last one times the drawn symbol's conditional.
+    rng = random.Random(seed)
+    ctx = (TO,)
+    while ctx[-1] != TC:
+        conditional = planted_conditional(planted, ctx, scheme)
+        assert abs(math.fsum(conditional) - 1) <= 1e-12
+        (symbol,) = rng.choices(scheme.alphabet, conditional)
+        p = prefix_probability(planted, ctx, scheme) * conditional[scheme.index(symbol)]
+        ctx += (symbol,)
+        assert prefix_probability(planted, ctx, scheme) == p
+    with pytest.raises(UnreachableContextError, match=r"^turn already closed$"):
+        planted_conditional(planted, ctx, scheme)
 
 
 def test_prominence_marker_reachability():
